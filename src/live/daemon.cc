@@ -47,8 +47,14 @@ DaemonService::~DaemonService() { stop(); }
 
 void DaemonService::start() {
   if (running_.exchange(true)) return;
-  control_thread_ = std::thread([this] { control_loop(); });
-  data_thread_ = std::thread([this] { data_loop(); });
+  endpoint_.set_port_handler(replica::kDaemonPort,
+                             [this](Endpoint::Message msg) {
+                               handle_control(std::move(msg));
+                             });
+  endpoint_.set_port_handler(replica::kDaemonDataPort,
+                             [this](Endpoint::Message msg) {
+                               apply_bundle(msg.src, msg.payload);
+                             });
   if (fast_bulk_ != nullptr) {
     bulk_thread_ = std::thread([this] { bulk_loop(); });
     bulk_send_thread_ = std::thread([this] { bulk_send_loop(); });
@@ -57,12 +63,14 @@ void DaemonService::start() {
 
 void DaemonService::stop() {
   if (!running_.exchange(false)) return;
+  // Handlers first: once they are off the loop no new fast send can be
+  // queued, so the sender thread below drains a final queue.
+  endpoint_.set_port_handler(replica::kDaemonPort, nullptr);
+  endpoint_.set_port_handler(replica::kDaemonDataPort, nullptr);
   {
     util::MutexLock lock(mu_);
     fast_send_cv_.notify_all();
   }
-  if (control_thread_.joinable()) control_thread_.join();
-  if (data_thread_.joinable()) data_thread_.join();
   if (bulk_thread_.joinable()) bulk_thread_.join();
   if (bulk_send_thread_.joinable()) bulk_send_thread_.join();
 }
@@ -157,63 +165,58 @@ DaemonService::Stats DaemonService::stats() const {
   return stats_;
 }
 
-void DaemonService::control_loop() {
-  while (running_.load()) {
-    auto msg = endpoint_.recv_for(replica::kDaemonPort, 100'000);
-    if (!msg.has_value()) continue;
-    try {
-      util::WireReader reader(msg->payload);
-      switch (reader.u8()) {
-        case replica::kTransferReplica:
-          handle_directive(msg->src, reader);
-          break;
-        case replica::kPollVersion: {
-          const auto poll = replica::PollVersionMsg::decode(reader);
-          util::Buffer report;
-          replica::VersionReportMsg{poll.lock_id, endpoint_.node(),
-                                    local_version(poll.lock_id)}
-              .encode(report);
-          endpoint_.send(msg->src, poll.reply_port, std::move(report));
-          util::MutexLock lock(mu_);
-          ++stats_.polls_answered;
-          break;
-        }
-        case replica::kHeartbeat:
-          // Liveness is proven by the transport-level ack the prober waits
-          // on; nothing to do here.
-          break;
-        case replica::kBulkHello: {
-          const auto hello = replica::BulkHelloMsg::decode(reader);
-          record_peer_bulk(msg->src, hello.backends, hello.tcp_port,
-                           hello.budp_port);
-          util::Buffer ack;
-          replica::BulkHelloAckMsg{endpoint_.node(), own_bulk_caps(),
-                                   bulk_kind_ == BulkBackend::kTcp
-                                       ? fast_bulk_->contact_port()
-                                       : std::uint16_t{0},
-                                   bulk_kind_ == BulkBackend::kBatchedUdp
-                                       ? fast_bulk_->contact_port()
-                                       : std::uint16_t{0}}
-              .encode(ack);
-          endpoint_.send(msg->src, replica::kDaemonPort, std::move(ack));
-          break;
-        }
-        case replica::kBulkHelloAck: {
-          const auto ack = replica::BulkHelloAckMsg::decode(reader);
-          record_peer_bulk(msg->src, ack.backends, ack.tcp_port,
-                           ack.budp_port);
-          break;
-        }
-        default:
-          // Unknown control message — a newer peer speaking a message this
-          // build predates. Dropping it is the §10 downgrade path.
-          break;
+void DaemonService::handle_control(Endpoint::Message msg) {
+  try {
+    util::WireReader reader(msg.payload);
+    switch (reader.u8()) {
+      case replica::kTransferReplica:
+        handle_directive(msg.src, reader);
+        break;
+      case replica::kPollVersion: {
+        const auto poll = replica::PollVersionMsg::decode(reader);
+        util::Buffer report;
+        replica::VersionReportMsg{poll.lock_id, endpoint_.node(),
+                                  local_version(poll.lock_id)}
+            .encode(report);
+        endpoint_.send(msg.src, poll.reply_port, std::move(report));
+        util::MutexLock lock(mu_);
+        ++stats_.polls_answered;
+        break;
       }
-    } catch (const util::CodecError& err) {
-      MOCHA_DEBUG("live") << "daemon " << endpoint_.node()
-                          << ": dropping malformed control message from node "
-                          << msg->src << ": " << err.what();
+      case replica::kHeartbeat:
+        // Liveness is proven by the transport-level ack the prober waits
+        // on; nothing to do here.
+        break;
+      case replica::kBulkHello: {
+        const auto hello = replica::BulkHelloMsg::decode(reader);
+        record_peer_bulk(msg.src, hello.backends, hello.tcp_port,
+                         hello.budp_port);
+        util::Buffer ack;
+        replica::BulkHelloAckMsg{endpoint_.node(), own_bulk_caps(),
+                                 bulk_kind_ == BulkBackend::kTcp
+                                     ? fast_bulk_->contact_port()
+                                     : std::uint16_t{0},
+                                 bulk_kind_ == BulkBackend::kBatchedUdp
+                                     ? fast_bulk_->contact_port()
+                                     : std::uint16_t{0}}
+            .encode(ack);
+        endpoint_.send(msg.src, replica::kDaemonPort, std::move(ack));
+        break;
+      }
+      case replica::kBulkHelloAck: {
+        const auto ack = replica::BulkHelloAckMsg::decode(reader);
+        record_peer_bulk(msg.src, ack.backends, ack.tcp_port, ack.budp_port);
+        break;
+      }
+      default:
+        // Unknown control message — a newer peer speaking a message this
+        // build predates. Dropping it is the §10 downgrade path.
+        break;
     }
+  } catch (const util::CodecError& err) {
+    MOCHA_DEBUG("live") << "daemon " << endpoint_.node()
+                        << ": dropping malformed control message from node "
+                        << msg.src << ": " << err.what();
   }
 }
 
@@ -337,17 +340,7 @@ void DaemonService::fast_send_fallback(FastSend job) {
 void DaemonService::bulk_loop() {
   while (running_.load()) {
     auto bundle = fast_bulk_->recv_bundle(replica::kDaemonDataPort, 100'000);
-    if (!bundle.has_value()) continue;
-    try {
-      util::WireReader reader(bundle->payload);
-      apply_bundle(bundle->src, reader, bundle->payload.size());
-    } catch (const util::CodecError& err) {
-      MOCHA_DEBUG("live") << "daemon " << endpoint_.node()
-                          << ": dropping malformed "
-                          << bulk_backend_name(bulk_kind_)
-                          << " bundle from node " << bundle->src << ": "
-                          << err.what();
-    }
+    if (bundle.has_value()) apply_bundle(bundle->src, bundle->payload);
   }
 }
 
@@ -412,27 +405,29 @@ TransportBackend::Stats DaemonService::bulk_transport_stats() const {
                                : fast_bulk_->stats();
 }
 
-void DaemonService::data_loop() {
-  while (running_.load()) {
-    auto msg = endpoint_.recv_for(replica::kDaemonDataPort, 100'000);
-    if (!msg.has_value()) continue;
-    try {
-      util::WireReader reader(msg->payload);
-      apply_bundle(msg->src, reader, msg->payload.size());
-    } catch (const util::CodecError& err) {
-      MOCHA_DEBUG("live") << "daemon " << endpoint_.node()
-                          << ": dropping malformed bundle from node "
-                          << msg->src << ": " << err.what();
+void DaemonService::apply_bundle(net::NodeId src,
+                                 const util::Buffer& payload) {
+  // Decode the whole bundle before touching the store: a truncated one must
+  // leave contents and version as they were, not half-overwritten.
+  LockId lock_id = 0;
+  Version version = 0;
+  std::vector<std::pair<std::string, util::Buffer>> entries;
+  try {
+    util::WireReader reader(payload);
+    lock_id = reader.u32();
+    version = reader.u64();
+    const std::uint32_t count = reader.u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::string name = reader.str();
+      entries.emplace_back(std::move(name), reader.bytes());
     }
+  } catch (const util::CodecError& err) {
+    MOCHA_DEBUG("live") << "daemon " << endpoint_.node()
+                        << ": dropping malformed bundle from node " << src
+                        << ": " << err.what();
+    return;
   }
-}
-
-void DaemonService::apply_bundle(net::NodeId src, util::WireReader& reader,
-                                 std::size_t wire_bytes) {
-  const LockId lock_id = reader.u32();
-  const Version version = reader.u64();
-  const std::uint32_t count = reader.u32();
-  tm_bytes_in_->add(wire_bytes);
+  tm_bytes_in_->add(payload.size());
 
   util::MutexLock lock(mu_);
   LockReplicas& lk = lock_replicas(lock_id);
@@ -442,11 +437,9 @@ void DaemonService::apply_bundle(net::NodeId src, util::WireReader& reader,
     ++stats_.stale_drops;
     return;
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = reader.str();
-    util::Buffer payload = reader.bytes();
+  for (auto& [name, contents] : entries) {
     if (!lk.contents.contains(name)) lk.names.push_back(name);
-    lk.contents[name] = std::move(payload);
+    lk.contents[name] = std::move(contents);
   }
   lk.version = version;
   ++lk.applied;

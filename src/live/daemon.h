@@ -15,20 +15,20 @@
 // directive's datagram envelope, so no prior peer configuration is needed in
 // that direction.
 //
-// Threading: two background threads (control + data) own the ports; the
-// replica store is mutex-guarded and safe to use from any thread. The
-// version/applied condition variable is what LockClient::acquire() blocks on
-// while a promised transfer is in flight.
+// Threading: on UDP the daemon starts no thread: its port handlers run on
+// the endpoint's loop thread. The replica store is mutex-guarded and safe to
+// use from any thread; LockClient::acquire() blocks on its version/applied
+// condition variable while a promised transfer is in flight.
 //
 // Bulk transport (§10): the daemon can be constructed with a non-default
 // live::BulkBackend (TCP or batched-UDP). Control messages always stay on
 // the endpoint; outbound bundles take the fast backend only toward peers
 // whose BULK-HELLO advertised the matching capability, falling back to the
 // endpoint's UDP path on any fast-send failure — so a TCP daemon always
-// interoperates with a UDP-only peer. Two more background threads serve the
+// interoperates with a UDP-only peer. Two background threads serve the
 // fast backend: one drains its inbound bundles into the same apply path,
 // one works the outbound send queue (fast sends block for up to the send
-// timeout, which must not stall the control loop).
+// timeout, which must not stall the loop thread).
 #pragma once
 
 #include <atomic>
@@ -51,7 +51,9 @@
 
 namespace mocha::live {
 
-class DaemonService {
+// MOCHA_REACTOR_SAFE (class-level): the port handlers capture `this`;
+// ~DaemonService calls stop(), which unregisters them first.
+class MOCHA_REACTOR_SAFE DaemonService {
  public:
   struct Stats {
     std::uint64_t transfers_served = 0;   // outbound bundles sent
@@ -70,7 +72,8 @@ class DaemonService {
   DaemonService(const DaemonService&) = delete;
   DaemonService& operator=(const DaemonService&) = delete;
 
-  // Starts / stops the control and data threads. stop() is idempotent.
+  // (Un)registers the port handlers, starts / joins fast-backend threads.
+  // stop() is idempotent.
   void start();
   void stop();
 
@@ -147,8 +150,8 @@ class DaemonService {
 
   // One outbound fast-backend bundle awaiting the sender thread. Fast sends
   // are synchronous (TCP connect, batched-UDP DONE wait) and must not run on
-  // the control loop: one stalled peer would head-of-line block every other
-  // directive and control message for the full send timeout.
+  // the loop thread: one stalled peer would head-of-line block the whole
+  // endpoint for the full send timeout.
   struct FastSend {
     net::NodeId dst = net::kInvalidNode;
     net::Port port = 0;
@@ -156,8 +159,9 @@ class DaemonService {
     util::Buffer data;
   };
 
-  void control_loop() EXCLUDES(mu_);
-  void data_loop() EXCLUDES(mu_);
+  // Daemon-port handler (loop thread): directives, polls, bulk hellos.
+  void handle_control(Endpoint::Message msg) MOCHA_REACTOR_ONLY
+      EXCLUDES(mu_);
   void bulk_loop() EXCLUDES(mu_);
   void bulk_send_loop() EXCLUDES(mu_);
   // The endpoint-UDP leg of a failed or shutdown-skipped fast send; adjusts
@@ -165,9 +169,9 @@ class DaemonService {
   void fast_send_fallback(FastSend job) EXCLUDES(mu_);
   void handle_directive(net::NodeId src, util::WireReader& reader)
       EXCLUDES(mu_);
-  // `wire_bytes` is the bundle's full payload size, for the byte counters.
-  void apply_bundle(net::NodeId src, util::WireReader& reader,
-                    std::size_t wire_bytes) EXCLUDES(mu_);
+  // Applies a data-port payload; a malformed one changes nothing.
+  void apply_bundle(net::NodeId src, const util::Buffer& payload)
+      EXCLUDES(mu_);
   void record_peer_bulk(net::NodeId peer, std::uint8_t backends,
                         std::uint16_t tcp_port, std::uint16_t budp_port)
       EXCLUDES(mu_);
@@ -180,8 +184,6 @@ class DaemonService {
   // pre-§10 single-path behavior (and wire cost: zero hellos).
   const std::unique_ptr<TransportBackend> fast_bulk_;
   std::atomic<bool> running_{false};
-  std::thread control_thread_;
-  std::thread data_thread_;
   std::thread bulk_thread_;
   std::thread bulk_send_thread_;
 

@@ -3,13 +3,14 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <future>
 #include <stdexcept>
 #include <system_error>
 
@@ -18,6 +19,8 @@
 namespace mocha::live {
 
 namespace {
+
+constexpr unsigned kRxBatch = 32;  // datagrams per recvmmsg(2)
 
 void set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -38,6 +41,7 @@ Endpoint::Endpoint(net::NodeId node, std::uint16_t udp_port,
     : node_(node),
       opts_(opts),
       clock_(clock ? clock : &Clock::monotonic()),
+      reactor_(ReactorOptions(), clock_),
       netem_rng_(opts.netem_seed) {
   if (opts_.mtu <= kLiveEnvelopeBytes + net::kDataAckBaseHeaderBytes +
                        net::kPiggybackAckBytes) {
@@ -82,22 +86,17 @@ Endpoint::Endpoint(net::NodeId node, std::uint16_t udp_port,
   udp_port_ = ntohs(addr.sin_port);
   set_nonblocking(sock_);
 
-  if (::pipe(wake_pipe_) < 0) {
-    const int err = errno;
-    ::close(sock_);
-    throw std::system_error(err, std::generic_category(), "pipe");
-  }
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
-
+  rx_buf_.resize(kRxBatch * (opts_.mtu + 1));
+  // Pre-run configuration: the loop thread starts below.
+  reactor_.watch_fd(sock_, EPOLLIN, [this](std::uint32_t) { on_readable(); });
   running_.store(true);
-  io_thread_ = std::thread([this] { io_loop(); });
+  loop_thread_ = std::thread([this] { reactor_.run(); });
 }
 
 Endpoint::~Endpoint() {
   running_.store(false);
-  wake_io_thread();
-  if (io_thread_.joinable()) io_thread_.join();
+  reactor_.stop();
+  loop_thread_.join();
   // Unblock any receiver still parked in recv(); messages are dropped.
   {
     util::MutexLock lock(mu_);
@@ -108,8 +107,6 @@ Endpoint::~Endpoint() {
     ack_cv_.notify_all();
   }
   ::close(sock_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
 }
 
 std::int64_t Endpoint::retry_schedule_us() const {
@@ -275,7 +272,19 @@ util::Status Endpoint::send_sync(net::NodeId dst, net::Port port,
     ++messages_sent_;
   }
   flush_tx();
-  wake_io_thread();  // the io loop recomputes its poll deadline
+  if (out->datagrams.size() > 1) {
+    // The RTO runs from the last fragment's send: a 256 KiB bundle's copies
+    // and sendmmsg calls can eat a 1 ms RTO.
+    util::MutexLock lock(mu_);
+    out->next_resend_us =
+        clock_->now_us() + (out->next_resend_us - out->sent_at_us);
+  }
+  // The transport timer must cover the new resend deadline.
+  if (std::this_thread::get_id() == loop_thread_.get_id()) {
+    arm_timer();  // MOCHA_REACTOR_SAFE: on the loop thread, checked above
+  } else {
+    reactor_.post([this] { arm_timer(); });
+  }
 
   if (timeout_us <= 0) return util::Status::ok();  // asynchronous send
 
@@ -296,23 +305,66 @@ bool Endpoint::flush(std::int64_t timeout_us) {
   while (!outstanding_.empty()) {
     const std::int64_t now = clock_->now_us();
     if (now >= deadline) return false;
-    // Capped wait: the io loop can erase acked entries without signaling
-    // ack_cv_, so poll instead of trusting the notify alone.
-    ack_cv_.wait_for_us(mu_, std::min<std::int64_t>(deadline - now, 10'000));
+    ack_cv_.wait_for_us(mu_, deadline - now);  // every erase notifies
   }
   return true;
 }
 
-void Endpoint::set_ready_fd(net::Port port, int fd) {
-  util::MutexLock lock(mu_);
-  PortQueue& queue = port_queue(port);
-  queue.ready_fd = fd;
-  if (fd >= 0 && !queue.messages.empty()) {
-    // Catch up: deliveries that predate the registration must still wake
-    // the reactor exactly once.
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const auto n = ::write(fd, &one, sizeof(one));
+void Endpoint::run_on_loop(std::function<void()> fn) {
+  if (std::this_thread::get_id() == loop_thread_.get_id()) {
+    fn();
+    return;
   }
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> ran = done->get_future();
+  reactor_.post([fn = std::move(fn), done] {
+    fn();
+    done->set_value();
+  });
+  ran.wait();
+}
+
+void Endpoint::set_port_handler(net::Port port, PortHandler handler) {
+  run_on_loop([this, port, handler = std::move(handler)]() mutable {
+    {
+      util::MutexLock lock(mu_);
+      PortQueue& queue = port_queue(port);
+      queue.handled = handler != nullptr;
+      // The backlog from before registration (a handled port queues none).
+      for (Message& msg : queue.messages) dispatch_.push_back(std::move(msg));
+      queue.messages.clear();
+    }
+    port_handlers_.erase(port);
+    if (handler != nullptr) {
+      port_handlers_[port] = std::make_shared<PortHandler>(std::move(handler));
+    }
+    finish_event();  // hands the backlog over
+  });
+}
+
+void Endpoint::finish_event() {
+  // Acks first: a handler applying a 256 KiB bundle must not hold the
+  // sender's ack back past its RTO. Handlers' own sends flush themselves.
+  flush_tx();
+  std::vector<Message> batch;
+  {
+    util::MutexLock lock(mu_);
+    batch.swap(dispatch_);
+  }
+  for (Message& msg : batch) {
+    auto it = port_handlers_.find(msg.port);
+    if (it != port_handlers_.end()) {
+      // A copy: a handler that replaces itself keeps running intact.
+      const std::shared_ptr<PortHandler> handler = it->second;
+      (*handler)(std::move(msg));
+      continue;
+    }
+    util::MutexLock lock(mu_);  // unregistered mid-batch: back to recv()
+    PortQueue& queue = port_queue(msg.port);
+    queue.messages.push_back(std::move(msg));
+    queue.cv.notify_one();
+  }
+  arm_timer();
 }
 
 Endpoint::Message Endpoint::recv(net::Port port) {
@@ -363,7 +415,6 @@ void Endpoint::flush_tx() {
     if (tx_queue_.empty()) return;
     batch.swap(tx_queue_);
   }
-#ifdef __linux__
   // One sendmmsg(2) per group of up to kBatch datagrams: fragments of a
   // message, coalesced acks, and retransmits all leave in single syscalls.
   constexpr std::size_t kBatch = 64;
@@ -383,99 +434,64 @@ void Endpoint::flush_tx() {
     // Failures (ENOBUFS, transient ICMP errors) are left to retransmission.
     (void)::sendmmsg(sock_, msgs, static_cast<unsigned int>(n), 0);
   }
-#else
-  for (const TxItem& item : batch) {
-    // MOCHA_RAW_WIRE_OK: sockaddr cast is kernel ABI, not wire payload.
-    (void)::sendto(sock_, item.datagram.data(), item.datagram.size(), 0,
-                   reinterpret_cast<const sockaddr*>(&item.addr),
-                   sizeof(item.addr));
-  }
-#endif
 }
 
-void Endpoint::wake_io_thread() {
-  const char byte = 1;
-  (void)!::write(wake_pipe_[1], &byte, 1);
+void Endpoint::on_readable() {
+  // Batched drain: one recvmmsg(2) syscall moves up to kRxBatch datagrams
+  // per pass — the receive-side twin of the flush_tx() sendmmsg batch, and
+  // the main rx win under bursty bundle traffic.
+  const std::size_t slot = opts_.mtu + 1;
+  std::array<mmsghdr, kRxBatch> msgs{};
+  std::array<iovec, kRxBatch> iovs{};
+  std::array<sockaddr_in, kRxBatch> froms{};
+  for (unsigned i = 0; i < kRxBatch; ++i) {
+    iovs[i] = {rx_buf_.data() + i * slot, slot};
+    msgs[i].msg_hdr.msg_iov = &iovs[i];
+    msgs[i].msg_hdr.msg_iovlen = 1;
+    msgs[i].msg_hdr.msg_name = &froms[i];
+  }
+  while (true) {
+    // The kernel overwrites each name length with the sender's.
+    for (mmsghdr& msg : msgs) msg.msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    const int got =
+        ::recvmmsg(sock_, msgs.data(), kRxBatch, MSG_DONTWAIT, nullptr);
+    if (got <= 0) break;  // EAGAIN — drained
+    ++rx_batches_;
+    rx_batched_datagrams_ += static_cast<std::uint64_t>(got);
+    for (int i = 0; i < got; ++i) {
+      handle_datagram(rx_buf_.data() + static_cast<std::size_t>(i) * slot,
+                      msgs[i].msg_len, froms[i]);
+    }
+    if (got < static_cast<int>(kRxBatch)) break;
+  }
+  finish_event();
 }
 
-void Endpoint::io_loop() {
-  std::vector<std::uint8_t> buf(opts_.mtu + 1);
-#ifdef __linux__
-  constexpr unsigned kRxBatch = 32;
-  std::vector<std::vector<std::uint8_t>> rx_bufs(kRxBatch);
-  for (auto& b : rx_bufs) b.resize(opts_.mtu + 1);
-  std::array<mmsghdr, kRxBatch> rx_msgs{};
-  std::array<iovec, kRxBatch> rx_iovs{};
-  std::array<sockaddr_in, kRxBatch> rx_froms{};
-#endif
-  while (running_.load()) {
-    std::int64_t timeout_ms = 0;
-    {
-      util::MutexLock lock(mu_);
-      const std::int64_t deadline = next_deadline_us();
-      const std::int64_t now = clock_->now_us();
-      timeout_ms = deadline <= now ? 0 : (deadline - now + 999) / 1000;
-    }
+void Endpoint::on_timer() {
+  timer_ = Reactor::kInvalidTimer;
+  const std::int64_t now = clock_->now_us();
+  release_netem(now);
+  fire_timers(now);
+  finish_event();
+}
 
-    pollfd fds[2] = {{sock_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, static_cast<int>(timeout_ms));
-    if (ready < 0 && errno != EINTR) break;
-
-    if (ready > 0 && (fds[1].revents & POLLIN)) {
-      char drain[64];
-      while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
-    if (ready > 0 && (fds[0].revents & POLLIN)) {
-#ifdef __linux__
-      // Batched drain: one recvmmsg(2) syscall moves up to kRxBatch
-      // datagrams per pass — the receive-side twin of the flush_tx()
-      // sendmmsg batch, and the main rx win under bursty bundle traffic.
-      while (true) {
-        for (unsigned i = 0; i < kRxBatch; ++i) {
-          rx_iovs[i] = {rx_bufs[i].data(), rx_bufs[i].size()};
-          rx_msgs[i].msg_hdr = {};
-          rx_msgs[i].msg_hdr.msg_iov = &rx_iovs[i];
-          rx_msgs[i].msg_hdr.msg_iovlen = 1;
-          rx_msgs[i].msg_hdr.msg_name = &rx_froms[i];
-          rx_msgs[i].msg_hdr.msg_namelen = sizeof(rx_froms[i]);
-        }
-        const int got =
-            ::recvmmsg(sock_, rx_msgs.data(), kRxBatch, MSG_DONTWAIT,
-                       nullptr);
-        if (got <= 0) break;  // EAGAIN — drained
-        ++rx_batches_;
-        rx_batched_datagrams_ += static_cast<std::uint64_t>(got);
-        for (int i = 0; i < got; ++i) {
-          handle_datagram(rx_bufs[i].data(), rx_msgs[i].msg_len,
-                          rx_froms[i]);
-        }
-        if (got < static_cast<int>(kRxBatch)) break;
-      }
-#else
-      while (true) {
-        sockaddr_in from{};
-        socklen_t from_len = sizeof(from);
-        // MOCHA_RAW_WIRE_OK: sockaddr out-param is kernel ABI, not payload.
-        const ssize_t n =
-            ::recvfrom(sock_, buf.data(), buf.size(), 0,
-                       reinterpret_cast<sockaddr*>(&from), &from_len);
-        if (n < 0) break;  // EAGAIN — drained
-        handle_datagram(buf.data(), static_cast<std::size_t>(n), from);
-      }
-#endif
-    }
-    const std::int64_t now = clock_->now_us();
-    release_netem(now);
-    fire_timers(now);
-    flush_tx();
+void Endpoint::arm_timer() {
+  util::MutexLock lock(mu_);
+  const std::int64_t deadline = next_deadline_us();
+  if (timer_ != Reactor::kInvalidTimer && deadline == timer_deadline_us_) {
+    return;
   }
+  reactor_.cancel(timer_);  // no-op for kInvalidTimer
+  timer_deadline_us_ = deadline;
+  timer_ = deadline == kNoDeadline
+               ? Reactor::kInvalidTimer
+               : reactor_.call_at(deadline, [this] { on_timer(); });
 }
 
 std::int64_t Endpoint::next_deadline_us() {
-  std::int64_t deadline = clock_->now_us() + opts_.idle_poll_us;
+  std::int64_t deadline = kNoDeadline;
   for (const auto& [key, out] : outstanding_) {
-    if (!out->acked && out->next_resend_us < deadline) {
+    if (out->next_resend_us < deadline) {
       deadline = out->next_resend_us;
     }
   }
@@ -523,10 +539,6 @@ void Endpoint::fire_timers(std::int64_t now_us) {
   bool notified = false;
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
     std::shared_ptr<Outstanding>& out = it->second;
-    if (out->acked) {
-      it = outstanding_.erase(it);
-      continue;
-    }
     if (out->next_resend_us > now_us) {
       ++it;
       continue;
@@ -847,13 +859,12 @@ void Endpoint::deliver_in_order(net::NodeId src) {
     ++next;
     ++messages_delivered_;
     PortQueue& queue = port_queue(msg.port);
+    if (queue.handled) {
+      dispatch_.push_back(std::move(msg));
+      continue;
+    }
     queue.messages.push_back(std::move(msg));
     queue.cv.notify_one();
-    if (queue.ready_fd >= 0) {
-      const std::uint64_t one = 1;
-      [[maybe_unused]] const auto n =
-          ::write(queue.ready_fd, &one, sizeof(one));
-    }
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // The wall-clock twin of net::MochaNetEndpoint: reliable, sequenced,
 // fragmenting message delivery with upward multiplexing onto logical ports,
-// implemented on one nonblocking UDP socket and a poll(2) event loop instead
-// of the simulated fabric. Both endpoints speak the frame codec in
+// implemented on one nonblocking UDP socket and a live::Reactor event loop
+// instead of the simulated fabric. Both endpoints speak the frame codec in
 // net/frame.h, so a fragment emitted by one decodes with the other.
 //
 // Wire format of one UDP datagram:
@@ -32,12 +32,14 @@
 //     frames) when they fit in the MTU; leftover acks flush standalone.
 //   - Send batching: every datagram produced while holding the endpoint
 //     lock (fragments, acks, NACKs, retransmits) is queued and flushed in
-//     one sendmmsg(2) batch per poll iteration / send call.
+//     one sendmmsg(2) batch per loop event / send call.
 //
-// Threading: a background I/O thread owns the socket receive path and the
-// retransmit timers. send()/send_sync()/recv() are safe to call from any
-// thread. recv(port) must not be called for one port from two threads at
-// once (messages would be split arbitrarily between them) — same single-
+// Threading: the endpoint's only thread is its live::Reactor loop, which
+// owns the socket, the netem emulation and every transport deadline (one
+// reactor timer armed at the earliest) and runs the services' port handlers.
+// send()/send_sync()/recv()/recv_for()/flush() are safe from any thread.
+// recv(port) must not be called for one port from two threads at once
+// (messages would be split arbitrarily between them) — same single-
 // consumer rule the sim mailboxes have.
 //
 // Gap skip: a sender that exhausts its retries leaves a permanent hole in
@@ -60,6 +62,7 @@
 #include <netinet/in.h>
 
 #include "live/clock.h"
+#include "live/reactor.h"
 #include "live/telemetry.h"
 #include "net/frame.h"
 #include "net/types.h"
@@ -101,9 +104,6 @@ struct EndpointOptions {
   std::int64_t ack_delay_us = 500;
   std::size_t max_piggyback_acks = 8;  // per DATA+ACK frame (wire max 255)
 
-  // Io-loop heartbeat when no retransmit timer is pending.
-  std::int64_t idle_poll_us = 100'000;
-
   // Kernel socket buffer request (SO_RCVBUF + SO_SNDBUF). Replica bundles
   // arrive as one fragment burst — 256 KiB is ~190 back-to-back datagrams,
   // which overflows Linux's default ~208 KiB rmem and shows up as loopback
@@ -122,20 +122,23 @@ struct EndpointOptions {
   double recv_bw_kbps = 0.0;       // 0 = unlimited
   std::uint64_t netem_seed = 0x6d6f636861u;  // loss-roll PRNG seed
   // Test hook: return true to drop this datagram (raw bytes, envelope
-  // included). Runs before the probabilistic netem; io-thread context.
+  // included). Runs before the probabilistic netem, on the loop thread.
   std::function<bool(std::span<const std::uint8_t>)> recv_drop_hook;
 };
 
-class Endpoint {
+// MOCHA_REACTOR_SAFE (class-level): loop callbacks capture `this` because
+// ~Endpoint stops and joins the loop before any member is destroyed.
+class MOCHA_REACTOR_SAFE Endpoint {
  public:
   struct Message {
     net::NodeId src = net::kInvalidNode;
     net::Port port = 0;
     util::Buffer payload;
   };
+  using PortHandler = std::function<void(Message)>;
 
   // Binds a UDP socket on `udp_port` (0 picks a free port; see udp_port())
-  // and starts the I/O thread. Throws std::system_error on socket failure.
+  // and starts the loop thread. Throws std::system_error on socket failure.
   Endpoint(net::NodeId node, std::uint16_t udp_port,
            EndpointOptions opts = {}, Clock* clock = nullptr);
   ~Endpoint();
@@ -185,17 +188,23 @@ class Endpoint {
   // drained within `timeout_us`.
   bool flush(std::int64_t timeout_us) MOCHA_BLOCKING EXCLUDES(mu_);
 
-  // Reactor integration: registers an eventfd that is signalled (counting
-  // write of 1) whenever a message is delivered to `port`. A reactor watches
-  // the fd and drains with recv_for(port, 0). If messages are already queued
-  // the fd is signalled immediately; -1 unregisters. The fd must outlive the
-  // registration (unregister before close()).
-  void set_ready_fd(net::Port port, int fd) EXCLUDES(mu_);
+  // Routes `port`'s deliveries (and its queued backlog) to `handler`, run
+  // on the loop thread with the endpoint's lock released: it may send(),
+  // never wait. nullptr unregisters; once this returns the old handler is
+  // never called again. A handled port is not read with recv().
+  void set_port_handler(net::Port port, PortHandler handler)
+      MOCHA_REACTOR_SAFE EXCLUDES(mu_);
+
+  // Runs `fn` on the loop thread and returns after it ran (inline when
+  // called there, so it never waits on the loop).
+  void run_on_loop(std::function<void()> fn) MOCHA_REACTOR_SAFE;
+  // The event loop; services arm their timers on it from the loop thread.
+  Reactor& reactor() { return reactor_; }
 
   // Blocking receive of the next message addressed to `port`.
   Message recv(net::Port port) MOCHA_BLOCKING EXCLUDES(mu_);
-  // Timed receive; 0 polls without blocking (reactor handlers drain queues
-  // with recv_for(port, 0) — the analyzer special-cases the literal 0).
+  // Timed receive; 0 polls without blocking (the analyzer special-cases the
+  // literal 0).
   std::optional<Message> recv_for(net::Port port, std::int64_t timeout_us)
       MOCHA_BLOCKING EXCLUDES(mu_);
 
@@ -220,7 +229,7 @@ class Endpoint {
   std::uint64_t acks_piggybacked() const { return acks_piggybacked_; }
   std::uint64_t netem_dropped() const { return netem_dropped_; }
   // recvmmsg(2) rx batching (the receive-side twin of the sendmmsg tx
-  // batch): poll wakeups that drained the socket, and datagrams they moved.
+  // batch): recvmmsg calls that returned datagrams, and datagrams they moved.
   std::uint64_t rx_batches() const { return rx_batches_; }
   std::uint64_t rx_batched_datagrams() const { return rx_batched_datagrams_; }
 
@@ -259,7 +268,7 @@ class Endpoint {
   struct PortQueue {
     std::deque<Message> messages;
     util::CondVar cv;
-    int ready_fd = -1;  // eventfd signalled on delivery; -1 = none
+    bool handled = false;  // deliveries go to the port handler instead
   };
 
   // One partially reassembled inbound message + its NACK bookkeeping.
@@ -283,20 +292,27 @@ class Endpoint {
     sockaddr_in from{};
   };
 
-  void io_loop() EXCLUDES(mu_);
+  // --- Loop thread (analyzer-enforced) ---
+  void on_readable() MOCHA_REACTOR_ONLY EXCLUDES(mu_);  // socket handler
+  void on_timer() MOCHA_REACTOR_ONLY EXCLUDES(mu_);     // transport timer
+  // Ends every loop event: the tx batch, port handler dispatch, the timer.
+  void finish_event() MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+  void arm_timer() MOCHA_REACTOR_ONLY EXCLUDES(mu_);  // at next_deadline_us()
   // Netem front door: loss/delay/bandwidth emulation, then process.
   void handle_datagram(const std::uint8_t* data, std::size_t len,
-                       const sockaddr_in& from) EXCLUDES(mu_);
+                       const sockaddr_in& from) MOCHA_REACTOR_ONLY
+      EXCLUDES(mu_);
   // Actual protocol processing of one datagram (takes mu_ internally).
   void process_datagram(const std::uint8_t* data, std::size_t len,
-                        const sockaddr_in& from) EXCLUDES(mu_);
+                        const sockaddr_in& from) MOCHA_REACTOR_ONLY
+      EXCLUDES(mu_);
+  void release_netem(std::int64_t now_us) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+  void fire_timers(std::int64_t now_us) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
   void handle_data(net::NodeId src, const net::DataFrame& frame)
       EXCLUDES(mu_);
   void handle_ack_seq(net::NodeId src, std::uint64_t seq,
                       std::int64_t now_us) REQUIRES(mu_);
-  void fire_timers(std::int64_t now_us) EXCLUDES(mu_);
-  void release_netem(std::int64_t now_us) EXCLUDES(mu_);  // io thread only
-  std::int64_t next_deadline_us() REQUIRES(mu_);
+  std::int64_t next_deadline_us() REQUIRES(mu_);  // kNoDeadline: none
   void deliver_in_order(net::NodeId src) REQUIRES(mu_);
   // (Re)arms or clears the gap-skip timer for `src`.
   void update_gap_skip(net::NodeId src, std::int64_t now_us) REQUIRES(mu_);
@@ -316,10 +332,11 @@ class Endpoint {
   // Queues one datagram for the next flush_tx.
   void queue_tx(const sockaddr_in& addr, util::Buffer datagram)
       REQUIRES(mu_);
-  // Sends everything queued, in one sendmmsg batch per destination-run.
+  // Sends everything queued, in sendmmsg batches of up to 64 datagrams.
   void flush_tx() EXCLUDES(mu_);
-  void wake_io_thread();
   PortQueue& port_queue(net::Port port) REQUIRES(mu_);
+
+  static constexpr std::int64_t kNoDeadline = INT64_MAX;
 
   net::NodeId node_;
   EndpointOptions opts_;
@@ -327,13 +344,20 @@ class Endpoint {
   std::size_t max_chunk_;  // payload bytes per fragment
   std::int64_t gap_skip_window_us_;  // full backed-off sender schedule
   int sock_ = -1;
-  int wake_pipe_[2] = {-1, -1};
   std::uint16_t udp_port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread io_thread_;
+
+  // Loop-thread state: port handlers, transport timer, receive buffers.
+  Reactor reactor_;
+  std::map<net::Port, std::shared_ptr<PortHandler>> port_handlers_;
+  Reactor::TimerId timer_ = Reactor::kInvalidTimer;
+  std::int64_t timer_deadline_us_ = kNoDeadline;  // timer_'s deadline
+  std::vector<std::uint8_t> rx_buf_;
+  std::thread loop_thread_;
 
   mutable util::Mutex mu_;
   util::CondVar ack_cv_;  // send_sync waiters
+  std::vector<Message> dispatch_ GUARDED_BY(mu_);  // for port handlers
   std::map<net::NodeId, PeerState> peers_ GUARDED_BY(mu_);
   std::map<net::NodeId, std::uint64_t> next_seq_out_ GUARDED_BY(mu_);
   std::map<MsgKey, std::shared_ptr<Outstanding>> outstanding_
@@ -353,7 +377,7 @@ class Endpoint {
   };
   std::vector<TxItem> tx_queue_ GUARDED_BY(mu_);
 
-  // Netem state — io thread only, no lock.
+  // Netem state — loop thread only, no lock.
   std::deque<DelayedDatagram> netem_queue_;
   std::int64_t netem_link_free_us_ = 0;  // emulated link busy until here
   util::SplitMix64 netem_rng_;

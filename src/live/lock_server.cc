@@ -1,12 +1,6 @@
 #include "live/lock_server.h"
 
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <system_error>
 
 #include "util/log.h"
 
@@ -16,7 +10,7 @@ using replica::GrantFlag;
 using replica::LockWireMode;
 
 LockServer::LockServer(Endpoint& endpoint, LockServerOptions opts)
-    : endpoint_(endpoint), opts_(opts), reactor_(opts.reactor) {
+    : endpoint_(endpoint), opts_(opts) {
   const std::string prefix = "shard." + std::to_string(opts_.shard_id) + ".";
   MetricsRegistry& registry = MetricsRegistry::global();
   tm_acquires_ = registry.counter(prefix + "acquires");
@@ -47,37 +41,27 @@ void LockServer::start() {
     self.udp_port = endpoint_.udp_port();
     shard_map_ = ShardMap({self});
   }
-  ready_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (ready_fd_ < 0) {
-    running_.store(false);
-    throw std::system_error(errno, std::generic_category(),
-                            "LockServer eventfd");
-  }
-  // MOCHA_REACTOR_SAFE: pre-run configuration — the reactor loop only
-  // starts on serve_thread_ below, so this watch_fd is single-threaded.
-  reactor_.watch_fd(ready_fd_, EPOLLIN, [this](std::uint32_t) {
-    std::uint64_t count = 0;
-    while (::read(ready_fd_, &count, sizeof(count)) > 0) {
-    }
-    drain_sync_port();
+  endpoint_.set_port_handler(replica::kSyncPort, [this](Endpoint::Message msg) {
+    handle(std::move(msg));
   });
-  endpoint_.set_ready_fd(replica::kSyncPort, ready_fd_);
-  serve_thread_ = std::thread([this] { reactor_.run(); });
 }
 
 void LockServer::stop() {
   if (!running_.exchange(false)) return;
-  reactor_.stop();
-  if (serve_thread_.joinable()) serve_thread_.join();
-  endpoint_.set_ready_fd(replica::kSyncPort, -1);
-  if (ready_fd_ >= 0) {
-    ::close(ready_fd_);
-    ready_fd_ = -1;
-  }
+  // Off the loop before returning: no handler call and no lease timer may
+  // reach this server once stop() is done.
+  endpoint_.run_on_loop([this] {
+    endpoint_.set_port_handler(replica::kSyncPort, nullptr);
+    for (const auto& [id, lock] : locks_) {
+      for (const Request& req : lock.active) {
+        endpoint_.reactor().cancel(req.lease_timer);
+      }
+    }
+  });
 }
 
 LockServer::Stats LockServer::stats() const {
-  const Reactor::Stats reactor = reactor_.stats();
+  const Reactor::Stats reactor = endpoint_.reactor().stats();
   util::MutexLock lock(mu_);
   Stats stats = stats_;
   stats.reactor_iterations = reactor.iterations;
@@ -88,7 +72,8 @@ LockServer::Stats LockServer::stats() const {
 
 bool LockServer::is_blacklisted(std::uint32_t site) const {
   util::MutexLock lock(mu_);
-  return blacklist_.contains(site);
+  const auto it = blacklist_.find(site);
+  return it != blacklist_.end() && Clock::monotonic().now_us() < it->second;
 }
 
 void LockServer::publish_gauges() {
@@ -97,12 +82,6 @@ void LockServer::publish_gauges() {
   util::MutexLock guard(mu_);
   stats_.queued_waiters = queued_waiters_;
   stats_.active_leases = active_leases_;
-}
-
-void LockServer::drain_sync_port() {
-  while (auto msg = endpoint_.recv_for(replica::kSyncPort, 0)) {
-    handle(std::move(*msg));
-  }
 }
 
 void LockServer::handle(Endpoint::Message msg) {
@@ -203,12 +182,7 @@ void LockServer::handle_acquire(util::WireReader& reader) {
   FlightRecorder::record(trace::EventKind::kLockRequested, endpoint_.node(),
                          req.site, req.lock_id, 0, req.nonce);
 
-  bool rejected = false;
-  {
-    util::MutexLock guard(mu_);
-    rejected = blacklist_.contains(req.site);
-  }
-  if (rejected) {
+  if (is_blacklisted(req.site)) {
     // §4: a thread whose lock was broken is prevented from future requests.
     send_grant(req, 0, GrantFlag::kRejected, {});
     return;
@@ -259,7 +233,7 @@ void LockServer::activate(LockState& lock, Request req) {
   const std::int64_t lease_deadline_us =
       now_us + static_cast<std::int64_t>(req.expected_hold_us) +
       opts_.lease_grace_us;
-  req.lease_timer = reactor_.call_at(
+  req.lease_timer = endpoint_.reactor().call_at(
       lease_deadline_us,
       [this, lock_id = req.lock_id, site = req.site, nonce = req.nonce] {
         on_lease_expired(lock_id, site, nonce);
@@ -308,7 +282,7 @@ void LockServer::handle_release(util::WireReader& reader) {
       lock.active.begin(), lock.active.end(),
       [&](const Request& r) { return r.site == msg.site; });
   if (active_it != lock.active.end()) {
-    reactor_.cancel(active_it->lease_timer);
+    endpoint_.reactor().cancel(active_it->lease_timer);
     tm_hold_us_->record(Clock::monotonic().now_us() -
                         active_it->granted_at_us);
     FlightRecorder::record(trace::EventKind::kLockReleased, endpoint_.node(),
@@ -317,12 +291,7 @@ void LockServer::handle_release(util::WireReader& reader) {
     lock.active.erase(active_it);
     --active_leases_;
   } else {
-    bool blacklisted = false;
-    {
-      util::MutexLock guard(mu_);
-      blacklisted = blacklist_.contains(msg.site);
-    }
-    if (!lock.active.empty() || blacklisted) {
+    if (!lock.active.empty() || is_blacklisted(msg.site)) {
       // Stale release — e.g. from an owner whose lock was already broken.
       return;
     }
@@ -379,16 +348,10 @@ void LockServer::on_lease_expired(replica::LockId lock_id, std::uint32_t site,
 }
 
 void LockServer::blacklist_site(std::uint32_t site) {
-  {
-    util::MutexLock guard(mu_);
-    blacklist_.insert(site);
-  }
-  if (opts_.blacklist_ttl_us > 0) {
-    reactor_.call_after(opts_.blacklist_ttl_us, [this, site] {
-      util::MutexLock guard(mu_);
-      blacklist_.erase(site);
-    });
-  }
+  util::MutexLock guard(mu_);
+  blacklist_[site] = opts_.blacklist_ttl_us > 0
+                         ? Clock::monotonic().now_us() + opts_.blacklist_ttl_us
+                         : INT64_MAX;
 }
 
 }  // namespace mocha::live

@@ -1,4 +1,5 @@
-// live::LockServer — one shard of the lock directory, driven by a Reactor.
+// live::LockServer — one shard of the lock directory, driven by its
+// endpoint's event loop.
 //
 // The wall-clock twin of replica::SyncService, reduced to the lock core:
 // strict-FIFO grant queue with shared-mode batching, version numbers, the
@@ -6,20 +7,18 @@
 // exact kAcquireLock / kReleaseLock / kRegisterLock / kGrant messages from
 // replica/wire.h on logical port replica::kSyncPort.
 //
-// Event-loop architecture (PR 6): instead of a blocking serve thread
-// alternating recv_for() with periodic lease scans, the server owns a
-// live::Reactor. Message delivery signals an eventfd
-// (Endpoint::set_ready_fd) whose readiness handler drains the sync port;
-// every lease is an individual reactor timer armed at activation and
-// cancelled at release (no scanning); blacklist expiry (when configured) is
-// a timer too. One event-loop thread drives every waiter as continuation
-// state in the grant queue — there is no per-client thread or condvar
-// anywhere in the server.
+// Event-loop architecture: the server starts no thread. start() registers a
+// sync-port handler (Endpoint::set_port_handler), so every message is
+// handled on the endpoint's loop thread, the one that received it; every
+// lease is a timer on that loop, armed at activation and cancelled at
+// release (no scanning); blacklist entries expire lazily. That one thread
+// drives every waiter as continuation state in the grant queue: no
+// per-client thread or condvar, and no cross-thread wakeup per grant.
 //
 // Sharding (docs/PROTOCOL.md §9): a deployment runs N LockServers, each on
-// its own endpoint/reactor, each owning the lock ids its ShardMap assigns
-// it. The server answers kShardMapRequest with the full map so clients can
-// route; with no map configured it serves everything (single-shard, wire-
+// its own endpoint, each owning the lock ids its ShardMap assigns it. The
+// server answers kShardMapRequest with the full map so clients can route;
+// with no map configured it serves everything (single-shard, wire-
 // compatible with pre-shard clients).
 //
 // NEED_NEW_VERSION grants name the last owner (GrantMsg.transfer_from); the
@@ -35,12 +34,12 @@
 // directly.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "live/endpoint.h"
@@ -56,17 +55,17 @@ namespace mocha::live {
 struct LockServerOptions {
   std::int64_t default_expected_hold_us = 500'000;
   std::int64_t lease_grace_us = 300'000;
-  // §4 keeps a broken-lock site blacklisted forever; a positive TTL expires
-  // the entry via a reactor timer instead (operational escape hatch).
+  // §4 keeps a broken-lock site blacklisted forever; a positive TTL lets
+  // the entry lapse after that long (operational escape hatch).
   std::int64_t blacklist_ttl_us = 0;
   // Shard id reported in stats and logs (the ShardMap decides routing).
   std::uint32_t shard_id = 0;
-  ReactorOptions reactor;
 };
 
-// MOCHA_REACTOR_SAFE (class-level): reactor callbacks may capture `this`
-// because teardown is ordered — ~LockServer calls stop(), which stops the
-// reactor and joins the loop thread before any member is destroyed.
+// MOCHA_REACTOR_SAFE (class-level): the port handler and reactor timers may
+// capture `this` because teardown is ordered — ~LockServer calls stop(),
+// which unregisters the handler and cancels every lease timer on the loop
+// thread before any member is destroyed.
 class MOCHA_REACTOR_SAFE LockServer {
  public:
   struct Stats {
@@ -80,7 +79,7 @@ class MOCHA_REACTOR_SAFE LockServer {
     // Gauges: current queue depth / lease population of this shard.
     std::uint64_t queued_waiters = 0;
     std::uint64_t active_leases = 0;
-    // Reactor-core counters (per-shard load balance in bench artifacts).
+    // The endpoint loop's counters: the shard's one thread, endpoint work in.
     std::uint64_t reactor_iterations = 0;
     std::uint64_t reactor_timers_fired = 0;
     std::uint64_t max_epoll_batch = 0;
@@ -97,7 +96,7 @@ class MOCHA_REACTOR_SAFE LockServer {
   // itself as the only shard.
   void set_shard_map(ShardMap map);
 
-  // Starts / stops the reactor thread. stop() is idempotent and joins.
+  // (Un)register the sync-port handler; after stop() the loop never calls in.
   void start();
   void stop();
 
@@ -135,8 +134,7 @@ class MOCHA_REACTOR_SAFE LockServer {
     }
   };
 
-  // All handlers below run on the reactor thread (analyzer-enforced).
-  void drain_sync_port() MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+  // All handlers below run on the loop thread (analyzer-enforced).
   void handle(Endpoint::Message msg) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
   void handle_acquire(util::WireReader& reader) MOCHA_REACTOR_ONLY
       EXCLUDES(mu_);
@@ -165,23 +163,21 @@ class MOCHA_REACTOR_SAFE LockServer {
 
   Endpoint& endpoint_;
   LockServerOptions opts_;
-  Reactor reactor_;
   std::atomic<bool> running_{false};
-  std::thread serve_thread_;
-  int ready_fd_ = -1;  // eventfd bridging endpoint delivery -> reactor
 
-  // Owned exclusively by the reactor thread while it runs (never touched
-  // from other threads, so no capability guards it; the thread join in
-  // stop() is the only synchronization it needs).
+  // Owned exclusively by the loop thread while the server runs (never
+  // touched from other threads, so no capability guards it; start() and
+  // stop() hand over through the loop's own queue).
   std::map<replica::LockId, LockState> locks_;
   ShardMap shard_map_;
-  std::uint64_t queued_waiters_ = 0;  // incremental gauges, reactor thread
+  std::uint64_t queued_waiters_ = 0;  // incremental gauges, loop thread
   std::uint64_t active_leases_ = 0;
 
   mutable util::Mutex mu_;
-  // Cross-thread observable state: the reactor thread publishes, stats() /
+  // Cross-thread observable state: the loop thread publishes, stats() /
   // is_blacklisted() read from arbitrary threads.
-  std::set<std::uint32_t> blacklist_ GUARDED_BY(mu_);
+  // Blacklisted site -> monotonic expiry (INT64_MAX: forever).
+  std::map<std::uint32_t, std::int64_t> blacklist_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
 
   // Registry handles ("shard.<id>.*"), resolved once in the constructor;

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -75,9 +75,11 @@ Reactor::TimerId Reactor::call_after(std::int64_t delay_us, Callback cb) {
 
 Reactor::TimerId Reactor::call_at(std::int64_t deadline_us, Callback cb) {
   const TimerId id = next_timer_id_++;
-  // Slot relative to the cursor; never the current slot (already advancing
-  // past it this iteration), so a zero-delay timer fires on the next tick.
-  std::int64_t ticks = (deadline_us - wheel_time_us_) / opts_.tick_us;
+  // Slot relative to the cursor, rounded up so it never fires before the
+  // deadline (the cursor lags the clock by up to a tick); never the current
+  // slot, so a zero-delay timer fires on the next tick.
+  std::int64_t ticks =
+      (deadline_us - wheel_time_us_ + opts_.tick_us - 1) / opts_.tick_us;
   if (ticks < 1) ticks = 1;
   const std::size_t slot =
       (cursor_ + static_cast<std::size_t>(
@@ -117,20 +119,23 @@ void Reactor::drain_wake_fd() {
   }
 }
 
-int Reactor::epoll_timeout_ms() {
+std::int64_t Reactor::wait_us() {
   {
     util::MutexLock lock(post_mu_);
     if (!posted_.empty()) return 0;
   }
-  std::int64_t horizon_us = opts_.idle_poll_us;
-  if (!timers_.empty()) {
-    // Wake at the next tick boundary; the wheel advances at tick granularity.
-    const std::int64_t next_tick_us =
-        wheel_time_us_ + opts_.tick_us - clock_->now_us();
-    horizon_us = std::clamp<std::int64_t>(next_tick_us, 0, opts_.tick_us);
+  if (timers_.empty()) return -1;  // until an fd, post() or stop()
+  // Sleep, to the microsecond, until the first non-empty slot's boundary:
+  // epoll_wait's milliseconds would hold a 500 us ack timer back to 1 ms.
+  std::size_t ticks = 1;
+  while (ticks < wheel_.size() &&
+         wheel_[(cursor_ + ticks) % wheel_.size()].empty()) {
+    ++ticks;
   }
-  // Round up so a 1-tick sleep never returns a hair early and spins.
-  return static_cast<int>((horizon_us + 999) / 1000);
+  return std::max<std::int64_t>(
+      wheel_time_us_ + static_cast<std::int64_t>(ticks) * opts_.tick_us -
+          clock_->now_us(),
+      0);
 }
 
 void Reactor::run() {
@@ -138,9 +143,12 @@ void Reactor::run() {
   std::vector<epoll_event> events(std::max<std::size_t>(
       opts_.max_epoll_events, 1));
   while (!stop_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()),
-                               epoll_timeout_ms());
+    const std::int64_t wait = wait_us();
+    const timespec timeout{static_cast<time_t>(wait / 1'000'000),
+                           static_cast<long>(wait % 1'000'000) * 1'000};
+    const int n = ::epoll_pwait2(epoll_fd_, events.data(),
+                                 static_cast<int>(events.size()),
+                                 wait < 0 ? nullptr : &timeout, nullptr);
     iterations_.fetch_add(1, std::memory_order_relaxed);
     if (n > 0) {
       const auto batch = static_cast<std::uint64_t>(n);

@@ -1,11 +1,14 @@
-// live::Reactor — the epoll event-loop core of the sharded lock directory.
+// live::Reactor — the epoll event loop of the live runtime.
 //
-// One Reactor is one event-loop thread. It multiplexes three event sources:
+// One Reactor is one event-loop thread, and the only event-loop
+// implementation in src/live. Each live::Endpoint runs its socket, transport
+// timers and port handlers (LockServer, DaemonService) on its own; the TCP
+// bulk backend owns one for its connections. It multiplexes three event
+// sources:
 //
 //   - fd readiness: watch_fd() registers a per-fd handler dispatched from
 //     epoll_wait (level-triggered; the handler sees the raw EPOLL* mask).
-//     The LockServer couples this to Endpoint::set_ready_fd(): message
-//     delivery signals an eventfd, the reactor drains the port queue.
+//     The endpoint watches its UDP socket this way.
 //   - timers: call_at()/call_after() arm one-shot callbacks on a hashed
 //     timer wheel (fixed tick, per-slot rounds counter), the classic
 //     O(1)-insert design for the "many pending, mostly cancelled" lease and
@@ -17,7 +20,8 @@
 //
 // Timer ordering: timers due in the same wheel advance fire in deadline
 // order (ties by creation order), so a lease armed before another never
-// fires after it. Timers fire at most one tick late.
+// fires after it. Timers never fire before their deadline and at most one
+// tick after it.
 //
 // Threading contract: post() and stop() are thread-safe; everything else —
 // watch_fd/unwatch_fd/call_at/call_after/cancel — must run on the loop
@@ -41,12 +45,10 @@
 namespace mocha::live {
 
 struct ReactorOptions {
-  // Timer-wheel granularity: timers fire at most one tick late.
-  std::int64_t tick_us = 1'000;
-  std::size_t wheel_slots = 256;
-  // epoll_wait horizon while no timers are pending (stop() wakes the loop
-  // via the eventfd, so this only bounds staleness of the stats gauges).
-  std::int64_t idle_poll_us = 200'000;
+  // Timer-wheel granularity, below the endpoint's 500 us ack hold and 1 ms
+  // minimum RTO: a late ack timer reads as a lost ack and a resend.
+  std::int64_t tick_us = 100;
+  std::size_t wheel_slots = 1024;  // 102.4 ms per turn
   std::size_t max_epoll_events = 64;
 };
 
@@ -110,7 +112,7 @@ class Reactor {
 
   void advance_wheel(std::int64_t now_us);
   void run_posted() EXCLUDES(post_mu_);
-  int epoll_timeout_ms() EXCLUDES(post_mu_);
+  std::int64_t wait_us() EXCLUDES(post_mu_);  // -1: no timer pending
   void drain_wake_fd();
 
   ReactorOptions opts_;

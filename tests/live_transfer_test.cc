@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -214,6 +215,65 @@ TEST(LiveTransfer, SurfacesTypedTimeoutWhenTransferNeverArrives) {
   EXPECT_EQ(b.client.transfer_timeouts(), 1u);
 
   server.stop();
+}
+
+// `u32 lock | u64 version | bundle` — the daemon-data-port payload.
+util::Buffer data_payload(replica::Version version,
+                          const std::vector<std::string>& names,
+                          const std::map<std::string, util::Buffer>& contents) {
+  util::Buffer data;
+  util::WireWriter writer(data);
+  writer.u32(kLock);
+  writer.u64(version);
+  writer.raw(marshal_bundle(names, contents));
+  return data;
+}
+
+// A bundle cut short on the data port is dropped whole: the names decoded
+// before the cut must not overwrite anything, and the daemon keeps applying
+// the next valid bundle.
+TEST(LiveTransfer, TruncatedBundleChangesNothing) {
+  constexpr net::NodeId kDaemonNode = 2;
+  constexpr net::NodeId kPeer = 9;
+  constexpr net::Port kReplyPort = 77;
+  Endpoint daemon_ep(kDaemonNode, 0);
+  DaemonService daemon(daemon_ep);
+  daemon.start();
+  const util::Buffer original = make_payload(64, 1);
+  daemon.register_replica(kLock, "a", original);
+  daemon.publish(kLock, 3);
+
+  Endpoint peer(kPeer, 0);
+  peer.add_peer(kDaemonNode, "127.0.0.1", daemon_ep.udp_port());
+  const std::map<std::string, util::Buffer> update{
+      {"a", make_payload(64, 7)}, {"b", make_payload(64, 8)}};
+  const util::Buffer full = data_payload(4, {"a", "b"}, update);
+  // Cut inside "b": "a" decodes completely before the codec error.
+  const util::Buffer truncated(full.begin(), full.end() - 10);
+  ASSERT_TRUE(peer.send_sync(kDaemonNode, replica::kDaemonDataPort, truncated,
+                             5'000'000LL * time_scale())
+                  .is_ok());
+  daemon_ep.run_on_loop([] {});  // the data-port handler has run
+
+  // A pulled copy shows names, contents and version exactly as before.
+  util::Buffer directive;
+  replica::TransferReplicaMsg{kLock, 3, kPeer, kReplyPort}.encode(directive);
+  peer.send(kDaemonNode, replica::kDaemonPort, std::move(directive));
+  auto served = peer.recv_for(kReplyPort, 5'000'000LL * time_scale());
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->payload, data_payload(3, {"a"}, {{"a", original}}));
+  EXPECT_EQ(daemon.local_version(kLock), 3u);
+  EXPECT_EQ(daemon.transfers_applied(kLock), 0u);
+
+  ASSERT_TRUE(peer.send_sync(kDaemonNode, replica::kDaemonDataPort, full,
+                             5'000'000LL * time_scale())
+                  .is_ok());
+  daemon_ep.run_on_loop([] {});
+  EXPECT_EQ(daemon.local_version(kLock), 4u);
+  EXPECT_EQ(daemon.read(kLock, "a"), update.at("a"));
+  EXPECT_EQ(daemon.read(kLock, "b"), update.at("b"));
+  EXPECT_EQ(daemon.transfers_applied(kLock), 1u);
+  daemon.stop();
 }
 
 // --- Multi-process: forked mocha_live ping-pong with real replica bytes ---

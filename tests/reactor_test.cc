@@ -1,15 +1,18 @@
-// live::Reactor tests — the epoll event-loop core under the sharded lock
-// directory. Covers the three event sources (timers on the hashed wheel,
-// fd readiness, cross-thread post()) plus the ordering and cancellation
-// contracts the LockServer's lease machinery depends on:
+// live::Reactor tests — the epoll event loop every live::Endpoint runs on.
+// Covers the three event sources (timers on the hashed wheel, fd readiness,
+// cross-thread post()) plus the ordering and cancellation contracts the
+// endpoint's transport timer and the LockServer's leases depend on:
 //
 //   - timers fire in deadline order, ties in creation order;
 //   - cancel() prevents firing, also when issued from another callback
 //     (a RELEASE cancelling the lease timer of the same request);
-//   - timers past one wheel turn wait their rounds out (no early fire);
+//   - timers never fire early: past one wheel turn they wait their rounds
+//     out, and one armed mid-tick waits for the tick that covers it;
 //   - post() runs on the loop thread;
-//   - an Endpoint's set_ready_fd() eventfd drives a reactor fd handler even
-//     with userspace netem delay on the receive path.
+//   - an Endpoint's port handler runs on its loop thread, even with
+//     userspace netem delay on the receive path, takes over messages
+//     queued before it and sees none after it is unregistered;
+//   - a serving shard (endpoint, lock server, UDP daemon) is one thread.
 //
 // All wall-clock margins scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes
 // set it).
@@ -22,10 +25,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
+#include "live/daemon.h"
 #include "live/endpoint.h"
+#include "live/lock_server.h"
 #include "live/reactor.h"
 
 namespace mocha::live {
@@ -224,55 +230,134 @@ TEST(Reactor, UnwatchFromInsideHandlerIsSafe) {
   ::close(efd);
 }
 
-TEST(Reactor, EndpointReadyFdDrivesReactorUnderNetemDelay) {
-  // The LockServer wiring end to end: Endpoint delivery signals an eventfd,
-  // the reactor drains the port queue with recv_for(port, 0) — with a fixed
-  // userspace netem delay on the receiving side, so readiness arrives well
-  // after send() returns.
+TEST(Reactor, TimerArmedMidTickNeverFiresEarly) {
+  // The wheel cursor lags the clock by up to a tick. Posts every 50us keep
+  // the loop awake, so the 200 timers below are armed at every phase of a
+  // tick; rounding the slot down would fire most of them a tick early.
+  ReactorOptions opts;
+  opts.tick_us = 1'000;
+  Reactor reactor(opts);
+  Clock& clock = Clock::monotonic();
+  constexpr int kTimers = 200;
+  std::vector<std::int64_t> deadlines(kTimers, 0);
+  std::vector<std::int64_t> fired_at(kTimers, 0);
+  std::atomic<int> fired{0};
+  std::thread loop([&] { reactor.run(); });
+  while (!reactor.looping()) std::this_thread::yield();
+
+  for (int i = 0; i < kTimers; ++i) {
+    reactor.post([&, i] {
+      deadlines[i] = clock.now_us() + scaled(3'000);
+      reactor.call_at(deadlines[i], [&, i] {
+        fired_at[i] = clock.now_us();
+        fired.fetch_add(1, std::memory_order_release);
+      });
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(scaled(5'000'000));
+  while (fired.load(std::memory_order_acquire) < kTimers) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "only " << fired.load() << "/" << kTimers << " timers fired";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  reactor.stop();
+  loop.join();
+  for (int i = 0; i < kTimers; ++i) {
+    EXPECT_GE(fired_at[i], deadlines[i]) << "timer " << i << " fired early";
+  }
+}
+
+// Waits (scaled) until `done()` holds; false on timeout.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(scaled(10'000'000));
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(Reactor, PortHandlerRunsOnLoopThreadUnderNetemDelay) {
+  // The LockServer / DaemonService wiring end to end: a port handler on the
+  // receiving endpoint, with a fixed userspace netem delay on its receive
+  // side, so delivery happens on the loop's timer well after send().
   EndpointOptions recv_opts;
   recv_opts.recv_delay_us = scaled(20'000);
   Endpoint sender(/*node=*/1, /*udp_port=*/0);
   Endpoint receiver(/*node=*/2, /*udp_port=*/0, recv_opts);
   sender.add_peer(2, "127.0.0.1", receiver.udp_port());
-
   constexpr net::Port kPort = 7;
-  constexpr int kMessages = 5;
-  Reactor reactor;
-  const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  ASSERT_GE(efd, 0);
-  std::atomic<int> received{0};
-  reactor.watch_fd(efd, EPOLLIN, [&](std::uint32_t) {
-    std::uint64_t count = 0;
-    (void)::read(efd, &count, sizeof(count));
-    while (auto msg = receiver.recv_for(kPort, 0)) {
-      EXPECT_EQ(msg->src, 1u);
-      received.fetch_add(1, std::memory_order_relaxed);
-    }
+
+  std::thread::id loop_thread;
+  receiver.run_on_loop([&] { loop_thread = std::this_thread::get_id(); });
+  ASSERT_NE(loop_thread, std::this_thread::get_id());
+
+  // Two messages queue up before any handler exists ...
+  sender.send(2, kPort, util::Buffer{0});
+  sender.send(2, kPort, util::Buffer{1});
+  ASSERT_TRUE(wait_until([&] { return receiver.messages_delivered() >= 2; }));
+
+  // ... and are handed over on registration.
+  std::atomic<int> handled{0};
+  std::atomic<int> off_loop{0};
+  std::vector<std::uint8_t> order;  // loop thread only until unregistered
+  receiver.set_port_handler(kPort, [&](Endpoint::Message msg) {
+    if (std::this_thread::get_id() != loop_thread) off_loop.fetch_add(1);
+    EXPECT_EQ(msg.src, 1u);
+    order.push_back(msg.payload.at(0));
+    handled.fetch_add(1, std::memory_order_release);
   });
-  receiver.set_ready_fd(kPort, efd);
-  std::thread loop([&] { reactor.run(); });
-  while (!reactor.looping()) std::this_thread::yield();
+  EXPECT_EQ(handled.load(std::memory_order_acquire), 2);
 
   const std::int64_t t0 = Clock::monotonic().now_us();
-  for (int i = 0; i < kMessages; ++i) {
-    sender.send(2, kPort, util::Buffer{std::uint8_t(i), 2, 3});
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(scaled(10'000'000));
-  while (received.load(std::memory_order_relaxed) < kMessages) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "reactor drained only " << received.load() << "/" << kMessages;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const std::int64_t elapsed = Clock::monotonic().now_us() - t0;
-  EXPECT_GE(elapsed, recv_opts.recv_delay_us);  // netem delay really applied
+  for (std::uint8_t i = 2; i < 5; ++i) sender.send(2, kPort, util::Buffer{i});
+  ASSERT_TRUE(wait_until(
+      [&] { return handled.load(std::memory_order_acquire) == 5; }))
+      << "handler saw only " << handled.load() << "/5";
+  EXPECT_GE(Clock::monotonic().now_us() - t0, recv_opts.recv_delay_us);
 
-  receiver.set_ready_fd(kPort, -1);
-  reactor.stop();
-  loop.join();
-  EXPECT_EQ(received.load(), kMessages);
-  ::close(efd);
+  // Once unregistration returns, deliveries go back to the recv() queue.
+  receiver.set_port_handler(kPort, nullptr);
+  sender.send(2, kPort, util::Buffer{5});
+  auto msg = receiver.recv_for(kPort, scaled(10'000'000));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, util::Buffer{5});
+  EXPECT_EQ(handled.load(), 5);
+  EXPECT_EQ(off_loop.load(), 0);
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 3, 4}));
 }
 
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Reactor, ServingShardRunsOnOneThread) {
+  // Endpoint + LockServer + UDP-backend DaemonService: the endpoint's loop
+  // thread is the only one, and it is gone again after teardown. A
+  // sanitizer runtime may start a helper thread at the first thread
+  // creation, so one throwaway thread runs before the count.
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  {
+    Endpoint endpoint(/*node=*/1, /*udp_port=*/0);
+    LockServer server(endpoint);
+    server.start();
+    DaemonService daemon(endpoint);
+    daemon.start();
+    EXPECT_EQ(thread_count(), before + 1);
+    daemon.stop();
+    server.stop();
+  }
+  EXPECT_EQ(thread_count(), before);
+}
 }  // namespace
 }  // namespace mocha::live

@@ -5,7 +5,8 @@ Three whole-call-graph checks over the annotation vocabulary declared in
 src/util/analysis_annotations.h:
 
   reactor-blocking   [check 1a] No path from reactor context (an fd
-                     handler, timer, post()ed lambda, or any function
+                     handler, timer, post()ed lambda, endpoint port
+                     handler or run_on_loop callback, or any function
                      marked MOCHA_REACTOR_ONLY) may reach a function
                      marked MOCHA_BLOCKING or a known-blocking call
                      (connect, poll, usleep, condition-variable waits,
@@ -24,7 +25,8 @@ src/util/analysis_annotations.h:
                      reinterpret_cast, and get_uNN-style raw reads are
                      findings unless the site carries MOCHA_RAW_WIRE_OK.
   callback-capture   [check 3] Lambdas armed on a reactor (post,
-                     call_after, call_at, watch_fd) must not capture
+                     call_after, call_at, watch_fd, set_port_handler,
+                     run_on_loop) must not capture
                      locals by reference, and may capture `this` only
                      from a class carrying the class-level
                      MOCHA_REACTOR_SAFE marker (documented teardown
@@ -73,12 +75,16 @@ LIVE_DIRS = ("src/live",)
 WIRE_DIRS = ("src/live", "src/net", "src/replica")
 WIRE_EXTRA_FILES = ("src/util/buffer.h",)
 
-ARMING_APIS = ("post", "call_after", "call_at", "watch_fd")
+# Calls whose lambda arguments run on a reactor's loop thread. Endpoint
+# port handlers and run_on_loop callbacks run on the endpoint's loop.
+ARMING_APIS = ("post", "call_after", "call_at", "watch_fd",
+               "set_port_handler", "run_on_loop")
 
 # ::name calls (global scope) that block the calling thread.
 GLOBAL_BLOCKING = {
     "connect", "poll", "ppoll", "select", "pselect", "epoll_wait",
-    "epoll_pwait", "usleep", "sleep", "nanosleep", "flock", "fsync",
+    "epoll_pwait", "epoll_pwait2", "usleep", "sleep", "nanosleep", "flock",
+    "fsync",
 }
 # Member / namespace-qualified calls that block regardless of receiver.
 MEMBER_BLOCKING = {
@@ -919,6 +925,8 @@ def analyze_tree(args):
 FIXTURE_EXPECT = {
     "check1_bad.cc": {"reactor-blocking": 2, "reactor-affinity": 1},
     "check1_good.cc": {},
+    "check1_port_handler_bad.cc": {"reactor-blocking": 1},
+    "check1_port_handler_good.cc": {},
     "check2_bad.cc": {"raw-wire": 2},
     "check2_good.cc": {},
     "check3_bad.cc": {"callback-capture": 2},

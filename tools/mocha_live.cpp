@@ -729,14 +729,10 @@ int run_server(const Args& args) {
     host.daemon->start();
   }
 
-  // Transfer workload sink: drain (and discard) payloads pushed to shard 0's
-  // transfer port so they do not pile up in the delivery queue.
-  mocha::live::Endpoint& front = *shards.front().endpoint;
-  std::thread transfer_drain([&front] {
-    while (!g_stop) {
-      (void)front.recv_for(kTransferPort, 50'000);
-    }
-  });
+  // Transfer workload sink: discard payloads pushed to shard 0's transfer
+  // port on arrival so they do not pile up in the delivery queue.
+  shards.front().endpoint->set_port_handler(
+      kTransferPort, [](mocha::live::Endpoint::Message) {});
 
   if (!args.ready_file.empty()) {
     std::ofstream ready(args.ready_file);
@@ -756,7 +752,6 @@ int run_server(const Args& args) {
   while (!g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  transfer_drain.join();
 
   // Exit-time stats: snapshot every shard's counters BEFORE teardown.
   // stop() joins threads and the linger below can eat seconds, during which
