@@ -1,5 +1,8 @@
 #include "live/daemon.h"
 
+#include <cstdlib>
+#include <stdexcept>
+
 #include "util/log.h"
 
 namespace mocha::live {
@@ -7,31 +10,71 @@ namespace mocha::live {
 using replica::LockId;
 using replica::Version;
 
-util::Buffer marshal_bundle(
-    const std::vector<std::string>& names,
-    const std::map<std::string, util::Buffer>& contents) {
-  util::Buffer bundle;
-  util::WireWriter writer(bundle);
+namespace {
+
+// How long a TCP send may take before its bundle is re-served on the
+// endpoint.
+constexpr std::int64_t kTcpBulkSendTimeoutUs = 2'000'000;
+
+// The `u32 n (str name, bytes payload)…` bundle body.
+void write_bundle(util::WireWriter& writer,
+                  const std::vector<std::string>& names,
+                  const std::map<std::string, util::Buffer>& contents) {
   writer.u32(static_cast<std::uint32_t>(names.size()));
   for (const std::string& name : names) {
     writer.str(name);
     auto it = contents.find(name);
     writer.bytes(it != contents.end() ? it->second : util::Buffer{});
   }
+}
+
+}  // namespace
+
+util::Buffer marshal_bundle(
+    const std::vector<std::string>& names,
+    const std::map<std::string, util::Buffer>& contents) {
+  util::Buffer bundle;
+  util::WireWriter writer(bundle);
+  write_bundle(writer, names, contents);
   return bundle;
 }
 
-namespace {
-// How long the serving daemon lets the fast backend chew on one bundle
-// before giving up and falling back to the endpoint's UDP path.
-constexpr std::int64_t kFastBulkSendTimeoutUs = 2'000'000;
-}  // namespace
+const char* bulk_backend_name(BulkBackend kind) {
+  switch (kind) {
+    case BulkBackend::kUdp:
+      return "udp";
+    case BulkBackend::kTcp:
+      return "tcp";
+    case BulkBackend::kHybrid:
+      return "hybrid";
+  }
+  return "hybrid";
+}
+
+std::optional<BulkBackend> parse_bulk_backend(std::string_view name) {
+  for (const BulkBackend kind :
+       {BulkBackend::kUdp, BulkBackend::kTcp, BulkBackend::kHybrid}) {
+    if (name == bulk_backend_name(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
+BulkBackend bulk_backend_from_env(BulkBackend fallback) {
+  const char* v = std::getenv("MOCHA_BULK_BACKEND");
+  if (v == nullptr || *v == '\0') return fallback;
+  const auto parsed = parse_bulk_backend(v);
+  if (!parsed.has_value()) {
+    MOCHA_WARN("live") << "ignoring unknown MOCHA_BULK_BACKEND=" << v
+                       << " (want udp|tcp|hybrid)";
+    return fallback;
+  }
+  return *parsed;
+}
 
 DaemonService::DaemonService(Endpoint& endpoint, BulkBackend bulk)
     : endpoint_(endpoint),
       bulk_kind_(bulk),
-      fast_bulk_(bulk == BulkBackend::kUdp ? nullptr
-                                           : make_bulk_backend(bulk, endpoint)) {
+      tcp_min_bytes_(bulk == BulkBackend::kHybrid ? kHybridMinBundleBytes : 0) {
   const std::string prefix =
       "daemon." + std::to_string(endpoint.node()) + ".";
   MetricsRegistry& registry = MetricsRegistry::global();
@@ -41,9 +84,24 @@ DaemonService::DaemonService(Endpoint& endpoint, BulkBackend bulk)
   tm_bytes_in_ = registry.counter(prefix + "bytes_in");
   tm_bulk_fallbacks_ = registry.counter(prefix + "bulk_fallbacks");
   tm_bundle_send_us_ = registry.histogram(prefix + "bundle_send_us");
+  if (bulk != BulkBackend::kUdp) {
+    tcp_ = std::make_unique<TcpBulkChannel>(
+        endpoint,
+        [this](net::NodeId src, net::Port port, util::Buffer payload) {
+          // The TCP twin of the data-port handler: dropped while stopped.
+          if (running_.load() && port == replica::kDaemonDataPort) {
+            apply_bundle(src, payload);
+          }
+        });
+  }
 }
 
-DaemonService::~DaemonService() { stop(); }
+DaemonService::~DaemonService() {
+  stop();
+  // Fails what is still queued on the channel (re-served on the endpoint)
+  // while every member its callbacks use is alive.
+  tcp_.reset();
+}
 
 void DaemonService::start() {
   if (running_.exchange(true)) return;
@@ -55,24 +113,12 @@ void DaemonService::start() {
                              [this](Endpoint::Message msg) {
                                apply_bundle(msg.src, msg.payload);
                              });
-  if (fast_bulk_ != nullptr) {
-    bulk_thread_ = std::thread([this] { bulk_loop(); });
-    bulk_send_thread_ = std::thread([this] { bulk_send_loop(); });
-  }
 }
 
 void DaemonService::stop() {
   if (!running_.exchange(false)) return;
-  // Handlers first: once they are off the loop no new fast send can be
-  // queued, so the sender thread below drains a final queue.
   endpoint_.set_port_handler(replica::kDaemonPort, nullptr);
   endpoint_.set_port_handler(replica::kDaemonDataPort, nullptr);
-  {
-    util::MutexLock lock(mu_);
-    fast_send_cv_.notify_all();
-  }
-  if (bulk_thread_.joinable()) bulk_thread_.join();
-  if (bulk_send_thread_.joinable()) bulk_send_thread_.join();
 }
 
 DaemonService::LockReplicas& DaemonService::lock_replicas(LockId lock_id) {
@@ -170,7 +216,7 @@ void DaemonService::handle_control(Endpoint::Message msg) {
     util::WireReader reader(msg.payload);
     switch (reader.u8()) {
       case replica::kTransferReplica:
-        handle_directive(msg.src, reader);
+        handle_directive(reader);
         break;
       case replica::kPollVersion: {
         const auto poll = replica::PollVersionMsg::decode(reader);
@@ -189,23 +235,17 @@ void DaemonService::handle_control(Endpoint::Message msg) {
         break;
       case replica::kBulkHello: {
         const auto hello = replica::BulkHelloMsg::decode(reader);
-        record_peer_bulk(msg.src, hello.backends, hello.tcp_port,
-                         hello.budp_port);
+        record_peer_bulk(msg.src, hello.backends, hello.tcp_port);
         util::Buffer ack;
         replica::BulkHelloAckMsg{endpoint_.node(), own_bulk_caps(),
-                                 bulk_kind_ == BulkBackend::kTcp
-                                     ? fast_bulk_->contact_port()
-                                     : std::uint16_t{0},
-                                 bulk_kind_ == BulkBackend::kBatchedUdp
-                                     ? fast_bulk_->contact_port()
-                                     : std::uint16_t{0}}
+                                 own_tcp_port()}
             .encode(ack);
         endpoint_.send(msg.src, replica::kDaemonPort, std::move(ack));
         break;
       }
       case replica::kBulkHelloAck: {
         const auto ack = replica::BulkHelloAckMsg::decode(reader);
-        record_peer_bulk(msg.src, ack.backends, ack.tcp_port, ack.budp_port);
+        record_peer_bulk(msg.src, ack.backends, ack.tcp_port);
         break;
       }
       default:
@@ -220,149 +260,116 @@ void DaemonService::handle_control(Endpoint::Message msg) {
   }
 }
 
-void DaemonService::handle_directive(net::NodeId src,
-                                     util::WireReader& reader) {
+void DaemonService::handle_directive(util::WireReader& reader) {
   const auto directive = replica::TransferReplicaMsg::decode(reader);
+  const net::NodeId dst = directive.dst_site;
+  const net::Port port = directive.dst_port;
+  const LockId lock_id = directive.lock_id;
 
-  util::Buffer bundle;
-  Version version = 0;
+  util::Buffer data;
+  std::uint16_t tcp_contact = 0;
   {
     util::MutexLock lock(mu_);
-    LockReplicas& lk = lock_replicas(directive.lock_id);
-    bundle = marshal_bundle(lk.names, lk.contents);
+    const LockReplicas& lk = lock_replicas(lock_id);
+    // `u32 lock | u64 version | bundle`, marshaled once into a buffer of
+    // the exact size, so no reallocation copies it again.
+    std::size_t size = 4 + 8 + 4;
+    for (const std::string& name : lk.names) {
+      const auto it = lk.contents.find(name);
+      size += 4 + name.size() + 4 +
+              (it != lk.contents.end() ? it->second.size() : 0);
+    }
+    data.reserve(size);
+    util::WireWriter writer(data);
+    writer.u32(lock_id);
     // Stamp what this daemon actually holds, not what the directive claims:
     // a redirected pull (home-daemon retry) may legitimately serve an older
     // version, and the receiver's stale-drop check needs the truth.
-    version = lk.version;
+    writer.u64(lk.version);
+    write_bundle(writer, lk.names, lk.contents);
+
+    // Count before sending: once the bundle is on the wire the puller may
+    // observe it (and read our stats) before this thread runs again.
+    ++stats_.transfers_served;
+    const auto peer = bulk_peers_.find(dst);
+    if (tcp_ != nullptr && data.size() >= tcp_min_bytes_ &&
+        peer != bulk_peers_.end() &&
+        (peer->second.backends & replica::kBulkCapTcp) != 0) {
+      tcp_contact = peer->second.tcp_port;
+    }
+    if (tcp_contact != 0) ++stats_.bulk_fast_served;
   }
-
-  util::Buffer data;
-  util::WireWriter writer(data);
-  writer.u32(directive.lock_id);
-  writer.u64(version);
-  writer.raw(bundle);
-
-  // Count before sending: once the bundle is on the wire the puller may
-  // observe it (and read our stats) before this thread runs again.
   tm_transfers_served_->add();
   tm_bytes_out_->add(data.size());
   FlightRecorder::record(trace::EventKind::kTransferServed, endpoint_.node(),
-                         directive.dst_site, directive.lock_id, data.size());
-  {
-    util::MutexLock lock(mu_);
-    ++stats_.transfers_served;
-    bool use_fast = false;
-    if (fast_bulk_ != nullptr) {
-      const auto peer = bulk_peers_.find(directive.dst_site);
-      use_fast = peer != bulk_peers_.end() &&
-                 (peer->second.backends & bulk_backend_cap(bulk_kind_)) != 0;
-    }
-    if (use_fast) {
-      // Hand the bundle to the sender thread: fast sends block (TCP
-      // connect, batched-UDP DONE wait) and must not stall this loop.
-      ++stats_.bulk_fast_served;
-      fast_sends_.push_back(FastSend{directive.dst_site, directive.dst_port,
-                                     directive.lock_id, std::move(data)});
-      fast_send_cv_.notify_all();
-      return;
-    }
-  }
-  try {
+                         dst, lock_id, data.size());
+  if (tcp_contact == 0) {
     // The directive's envelope taught the endpoint the puller's address, so
-    // dst_site is sendable even if this daemon never configured it.
-    endpoint_.send(directive.dst_site, directive.dst_port, std::move(data));
+    // dst is sendable even if this daemon never configured it.
+    serve_on_endpoint(dst, port, lock_id, std::move(data));
+    return;
+  }
+  const std::int64_t t_send = Clock::monotonic().now_us();
+  tcp_->send_bundle(
+      dst, tcp_contact, port, std::move(data), kTcpBulkSendTimeoutUs,
+      [this, dst, port, lock_id, t_send](util::Status status,
+                                         util::Buffer unsent) {
+        if (status.is_ok()) {
+          tm_bundle_send_us_->record(Clock::monotonic().now_us() - t_send);
+        } else {
+          tcp_fallback(dst, port, lock_id, status, std::move(unsent));
+        }
+      });
+}
+
+void DaemonService::serve_on_endpoint(net::NodeId dst, net::Port port,
+                                      LockId lock_id, util::Buffer data) {
+  try {
+    endpoint_.send(dst, port, std::move(data));
   } catch (const std::logic_error&) {
     util::MutexLock lock(mu_);
     --stats_.transfers_served;
     MOCHA_WARN("live") << "daemon " << endpoint_.node()
-                       << ": cannot serve transfer of lock "
-                       << directive.lock_id << " to unknown site "
-                       << directive.dst_site << " (directive from node "
-                       << src << ")";
+                       << ": cannot serve transfer of lock " << lock_id
+                       << " to unknown site " << dst;
   }
 }
 
-void DaemonService::bulk_send_loop() {
-  while (true) {
-    FastSend job;
-    {
-      util::MutexLock lock(mu_);
-      while (fast_sends_.empty()) {
-        if (!running_.load()) return;
-        fast_send_cv_.wait_for_us(mu_, 100'000);
-      }
-      job = std::move(fast_sends_.front());
-      fast_sends_.pop_front();
-    }
-    if (!running_.load()) {
-      // Shutting down: skip the blocking fast send so stop() is not held
-      // for kFastBulkSendTimeoutUs per leftover bundle; the UDP leg hands
-      // off to the endpoint's retransmit machinery without blocking.
-      fast_send_fallback(std::move(job));
-      continue;
-    }
-    const std::int64_t t_send = Clock::monotonic().now_us();
-    const util::Status sent = fast_bulk_->send_bundle(
-        job.dst, job.port, job.data, kFastBulkSendTimeoutUs);
-    if (sent.is_ok()) {
-      tm_bundle_send_us_->record(Clock::monotonic().now_us() - t_send);
-      continue;
-    }
-    MOCHA_WARN("live") << "daemon " << endpoint_.node() << ": "
-                       << bulk_backend_name(bulk_kind_)
-                       << " bulk send of lock " << job.lock_id << " to site "
-                       << job.dst << " failed (" << sent.to_string()
-                       << "); falling back to udp";
-    fast_send_fallback(std::move(job));
-  }
-}
-
-void DaemonService::fast_send_fallback(FastSend job) {
+void DaemonService::tcp_fallback(net::NodeId dst, net::Port port,
+                                 LockId lock_id, const util::Status& why,
+                                 util::Buffer data) {
+  MOCHA_WARN("live") << "daemon " << endpoint_.node()
+                     << ": tcp bulk send of lock " << lock_id << " to site "
+                     << dst << " failed (" << why.to_string()
+                     << "); falling back to udp";
   tm_bulk_fallbacks_->add();
   FlightRecorder::record(trace::EventKind::kBulkFallback, endpoint_.node(),
-                         job.dst, job.lock_id, job.data.size());
+                         dst, lock_id, data.size());
   {
     util::MutexLock lock(mu_);
     --stats_.bulk_fast_served;
     ++stats_.bulk_fallbacks;
   }
-  try {
-    endpoint_.send(job.dst, job.port, std::move(job.data));
-  } catch (const std::logic_error&) {
-    util::MutexLock lock(mu_);
-    --stats_.transfers_served;
-    MOCHA_WARN("live") << "daemon " << endpoint_.node()
-                       << ": cannot serve transfer of lock " << job.lock_id
-                       << " to unknown site " << job.dst;
-  }
-}
-
-void DaemonService::bulk_loop() {
-  while (running_.load()) {
-    auto bundle = fast_bulk_->recv_bundle(replica::kDaemonDataPort, 100'000);
-    if (bundle.has_value()) apply_bundle(bundle->src, bundle->payload);
-  }
+  serve_on_endpoint(dst, port, lock_id, std::move(data));
 }
 
 std::uint8_t DaemonService::own_bulk_caps() const {
-  return static_cast<std::uint8_t>(replica::kBulkCapUdp |
-                                   bulk_backend_cap(bulk_kind_));
+  return static_cast<std::uint8_t>(
+      replica::kBulkCapUdp | (tcp_ != nullptr ? replica::kBulkCapTcp : 0));
+}
+
+std::uint16_t DaemonService::own_tcp_port() const {
+  return tcp_ != nullptr ? tcp_->contact_port() : std::uint16_t{0};
 }
 
 void DaemonService::announce_bulk(net::NodeId peer) {
-  if (fast_bulk_ == nullptr) return;
+  if (tcp_ == nullptr) return;
   {
     util::MutexLock lock(mu_);
     if (!hello_sent_.insert(peer).second) return;
   }
   util::Buffer hello;
-  replica::BulkHelloMsg{endpoint_.node(), own_bulk_caps(),
-                        bulk_kind_ == BulkBackend::kTcp
-                            ? fast_bulk_->contact_port()
-                            : std::uint16_t{0},
-                        bulk_kind_ == BulkBackend::kBatchedUdp
-                            ? fast_bulk_->contact_port()
-                            : std::uint16_t{0}}
+  replica::BulkHelloMsg{endpoint_.node(), own_bulk_caps(), own_tcp_port()}
       .encode(hello);
   try {
     endpoint_.send(peer, replica::kDaemonPort, std::move(hello));
@@ -375,19 +382,11 @@ void DaemonService::announce_bulk(net::NodeId peer) {
 }
 
 void DaemonService::record_peer_bulk(net::NodeId peer, std::uint8_t backends,
-                                     std::uint16_t tcp_port,
-                                     std::uint16_t budp_port) {
-  {
-    util::MutexLock lock(mu_);
-    const bool fresh = bulk_peers_.find(peer) == bulk_peers_.end();
-    bulk_peers_[peer] = PeerBulk{backends, tcp_port, budp_port};
-    if (fresh) ++stats_.bulk_peers_known;
-  }
-  if (fast_bulk_ != nullptr) {
-    fast_bulk_->set_peer_contact(peer, bulk_kind_ == BulkBackend::kTcp
-                                           ? tcp_port
-                                           : budp_port);
-  }
+                                     std::uint16_t tcp_port) {
+  util::MutexLock lock(mu_);
+  const bool fresh = bulk_peers_.find(peer) == bulk_peers_.end();
+  bulk_peers_[peer] = PeerBulk{backends, tcp_port};
+  if (fresh) ++stats_.bulk_peers_known;
 }
 
 std::uint8_t DaemonService::peer_bulk_caps(net::NodeId peer) const {
@@ -397,12 +396,11 @@ std::uint8_t DaemonService::peer_bulk_caps(net::NodeId peer) const {
 }
 
 bool DaemonService::drain_bulk(std::int64_t timeout_us) {
-  return fast_bulk_ == nullptr || fast_bulk_->drain(timeout_us);
+  return tcp_ == nullptr || tcp_->drain(timeout_us);
 }
 
-TransportBackend::Stats DaemonService::bulk_transport_stats() const {
-  return fast_bulk_ == nullptr ? TransportBackend::Stats{}
-                               : fast_bulk_->stats();
+TcpBulkChannel::Stats DaemonService::bulk_transport_stats() const {
+  return tcp_ == nullptr ? TcpBulkChannel::Stats{} : tcp_->stats();
 }
 
 void DaemonService::apply_bundle(net::NodeId src,

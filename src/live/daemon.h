@@ -15,34 +15,33 @@
 // directive's datagram envelope, so no prior peer configuration is needed in
 // that direction.
 //
-// Threading: on UDP the daemon starts no thread: its port handlers run on
-// the endpoint's loop thread. The replica store is mutex-guarded and safe to
-// use from any thread; LockClient::acquire() blocks on its version/applied
-// condition variable while a promised transfer is in flight.
+// Threading: the daemon starts no thread. Its port handlers run on the
+// endpoint's loop thread, and so does its TCP bulk channel. The replica
+// store is mutex-guarded and safe to use from any thread;
+// LockClient::acquire() blocks on its version/applied condition variable
+// while a promised transfer is in flight.
 //
-// Bulk transport (§10): the daemon can be constructed with a non-default
-// live::BulkBackend (TCP or batched-UDP). Control messages always stay on
-// the endpoint; outbound bundles take the fast backend only toward peers
-// whose BULK-HELLO advertised the matching capability, falling back to the
-// endpoint's UDP path on any fast-send failure — so a TCP daemon always
-// interoperates with a UDP-only peer. Two background threads serve the
-// fast backend: one drains its inbound bundles into the same apply path,
-// one works the outbound send queue (fast sends block for up to the send
-// timeout, which must not stall the loop thread).
+// Bulk transport (§10): by default the daemon runs the paper's hybrid rule.
+// A bundle of at least kHybridMinBundleBytes goes over TCP (live/tcp_bulk.h)
+// to a peer whose BULK-HELLO advertised kBulkCapTcp; every smaller bundle,
+// and every control message, stays on the endpoint. A failed TCP send is
+// re-served on the endpoint, so a hybrid daemon always interoperates with a
+// UDP-only peer. BulkBackend::kUdp and kTcp are the two pure arms the
+// crossover sweep measures.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "live/endpoint.h"
-#include "live/transport_backend.h"
+#include "live/tcp_bulk.h"
 #include "replica/wire.h"
 #include "util/analysis_annotations.h"
 #include "util/mutex.h"
@@ -51,8 +50,28 @@
 
 namespace mocha::live {
 
-// MOCHA_REACTOR_SAFE (class-level): the port handlers capture `this`;
-// ~DaemonService calls stop(), which unregisters them first.
+// How a daemon moves outbound replica bundles.
+enum class BulkBackend : std::uint8_t {
+  kUdp = 0,     // every bundle on the endpoint
+  kTcp = 1,     // every bundle over TCP to TCP-capable peers
+  kHybrid = 2,  // TCP from kHybridMinBundleBytes up (the default)
+};
+
+// The hybrid crossover: the smallest bundle (`u32 lock | u64 version |
+// bundle` payload) that goes over TCP. bench/baselines/BENCH_live_hybrid.json
+// pins the measured crossover at this size.
+constexpr std::size_t kHybridMinBundleBytes = 64 * 1024;
+
+// CLI/env spelling: "udp", "tcp", "hybrid".
+const char* bulk_backend_name(BulkBackend kind);
+std::optional<BulkBackend> parse_bulk_backend(std::string_view name);
+// MOCHA_BULK_BACKEND in the environment, else `fallback`. Unparseable
+// values fall back too (a forked test lane must not die on a typo).
+BulkBackend bulk_backend_from_env(BulkBackend fallback);
+
+// MOCHA_REACTOR_SAFE (class-level): the port handlers and TCP channel
+// callbacks capture `this`; ~DaemonService calls stop(), which unregisters
+// the handlers, then destroys the channel before any other member.
 class MOCHA_REACTOR_SAFE DaemonService {
  public:
   struct Stats {
@@ -60,20 +79,20 @@ class MOCHA_REACTOR_SAFE DaemonService {
     std::uint64_t transfers_applied = 0;  // inbound bundles applied
     std::uint64_t stale_drops = 0;        // inbound bundles older than local
     std::uint64_t polls_answered = 0;
-    std::uint64_t bulk_fast_served = 0;   // of transfers_served: fast backend
-    std::uint64_t bulk_fallbacks = 0;     // fast send failed, rode UDP
+    std::uint64_t bulk_fast_served = 0;   // of transfers_served: over TCP
+    std::uint64_t bulk_fallbacks = 0;     // TCP send failed, rode UDP
     std::uint64_t bulk_peers_known = 0;   // BULK-HELLO/ACKs recorded
   };
 
   explicit DaemonService(Endpoint& endpoint,
-                         BulkBackend bulk = BulkBackend::kUdp);
+                         BulkBackend bulk = BulkBackend::kHybrid);
   ~DaemonService();
 
   DaemonService(const DaemonService&) = delete;
   DaemonService& operator=(const DaemonService&) = delete;
 
-  // (Un)registers the port handlers, starts / joins fast-backend threads.
-  // stop() is idempotent.
+  // (Un)registers the port handlers; a stopped daemon applies no inbound
+  // bundle. stop() is idempotent.
   void start();
   void stop();
 
@@ -123,11 +142,11 @@ class MOCHA_REACTOR_SAFE DaemonService {
   // Capability bits this daemon has recorded for `peer` (0 = never heard a
   // hello; the peer is assumed UDP-only).
   std::uint8_t peer_bulk_caps(net::NodeId peer) const EXCLUDES(mu_);
-  // Flushes and FIN+linger-closes the fast backend's cached connections
-  // (no-op true on pure UDP) — run under mocha_live's shared exit deadline.
+  // Flushes and FIN-closes the TCP channel's cached connections (no-op
+  // true on pure UDP) — run under mocha_live's shared exit deadline.
   bool drain_bulk(std::int64_t timeout_us) MOCHA_BLOCKING;
-  // Fast-backend transport counters (all zero on pure UDP).
-  TransportBackend::Stats bulk_transport_stats() const;
+  // TCP channel counters (all zero on pure UDP).
+  TcpBulkChannel::Stats bulk_transport_stats() const;
 
   Stats stats() const EXCLUDES(mu_);
 
@@ -141,59 +160,46 @@ class MOCHA_REACTOR_SAFE DaemonService {
   };
 
   // What a peer's BULK-HELLO / ACK taught us: which backends it can receive
-  // on and where they listen.
+  // on and where its TCP listener is.
   struct PeerBulk {
     std::uint8_t backends = replica::kBulkCapUdp;
     std::uint16_t tcp_port = 0;
-    std::uint16_t budp_port = 0;
-  };
-
-  // One outbound fast-backend bundle awaiting the sender thread. Fast sends
-  // are synchronous (TCP connect, batched-UDP DONE wait) and must not run on
-  // the loop thread: one stalled peer would head-of-line block the whole
-  // endpoint for the full send timeout.
-  struct FastSend {
-    net::NodeId dst = net::kInvalidNode;
-    net::Port port = 0;
-    replica::LockId lock_id = 0;
-    util::Buffer data;
   };
 
   // Daemon-port handler (loop thread): directives, polls, bulk hellos.
   void handle_control(Endpoint::Message msg) MOCHA_REACTOR_ONLY
       EXCLUDES(mu_);
-  void bulk_loop() EXCLUDES(mu_);
-  void bulk_send_loop() EXCLUDES(mu_);
-  // The endpoint-UDP leg of a failed or shutdown-skipped fast send; adjusts
-  // the fast/fallback counters to match.
-  void fast_send_fallback(FastSend job) EXCLUDES(mu_);
-  void handle_directive(net::NodeId src, util::WireReader& reader)
+  void handle_directive(util::WireReader& reader) MOCHA_REACTOR_ONLY
+      EXCLUDES(mu_);
+  // The endpoint leg of a transfer; undoes the served count when `dst` has
+  // no known address.
+  void serve_on_endpoint(net::NodeId dst, net::Port port,
+                         replica::LockId lock_id, util::Buffer data)
+      EXCLUDES(mu_);
+  // A failed TCP send re-served on the endpoint.
+  void tcp_fallback(net::NodeId dst, net::Port port, replica::LockId lock_id,
+                    const util::Status& why, util::Buffer data)
       EXCLUDES(mu_);
   // Applies a data-port payload; a malformed one changes nothing.
   void apply_bundle(net::NodeId src, const util::Buffer& payload)
       EXCLUDES(mu_);
   void record_peer_bulk(net::NodeId peer, std::uint8_t backends,
-                        std::uint16_t tcp_port, std::uint16_t budp_port)
-      EXCLUDES(mu_);
+                        std::uint16_t tcp_port) EXCLUDES(mu_);
   std::uint8_t own_bulk_caps() const;
+  std::uint16_t own_tcp_port() const;
   LockReplicas& lock_replicas(replica::LockId lock_id) REQUIRES(mu_);
 
   Endpoint& endpoint_;
   const BulkBackend bulk_kind_;
-  // Non-null only for a non-default backend; pure UDP keeps the exact
-  // pre-§10 single-path behavior (and wire cost: zero hellos).
-  const std::unique_ptr<TransportBackend> fast_bulk_;
+  // Bundles of at least this many bytes take TCP when the peer offers it.
+  const std::size_t tcp_min_bytes_;
   std::atomic<bool> running_{false};
-  std::thread bulk_thread_;
-  std::thread bulk_send_thread_;
 
   mutable util::Mutex mu_;
   util::CondVar version_cv_;  // signaled on publish / bundle apply
-  util::CondVar fast_send_cv_;  // signaled when fast_sends_ grows / on stop
   std::map<replica::LockId, LockReplicas> locks_ GUARDED_BY(mu_);
   std::map<net::NodeId, PeerBulk> bulk_peers_ GUARDED_BY(mu_);
   std::set<net::NodeId> hello_sent_ GUARDED_BY(mu_);
-  std::deque<FastSend> fast_sends_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
 
   // Registry handles ("daemon.<node>.*"), resolved once in the constructor.
@@ -203,6 +209,10 @@ class MOCHA_REACTOR_SAFE DaemonService {
   Counter* tm_bytes_in_ = nullptr;
   Counter* tm_bulk_fallbacks_ = nullptr;
   Histogram* tm_bundle_send_us_ = nullptr;
+
+  // Null on pure UDP, which keeps the exact single-path behavior (and wire
+  // cost: zero hellos). Declared last: its callbacks use the members above.
+  std::unique_ptr<TcpBulkChannel> tcp_;
 };
 
 // Marshals / unmarshals the replica bundle that follows the

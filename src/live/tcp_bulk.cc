@@ -5,11 +5,15 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "util/log.h"
@@ -20,17 +24,20 @@ namespace {
 constexpr const char* kLogComponent = "tcp-bulk";
 constexpr std::uint32_t kTcpBulkMagic = 0x3142544dU;  // "MTB1"
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 2 + 4;
-// Extra wait past the caller's timeout before it gives up on the reactor
-// ever answering (only reachable if the loop thread is wedged).
-constexpr std::int64_t kReactorGraceUs = 1'000'000;
-constexpr std::int64_t kDrainTickUs = 5'000;
+constexpr std::int64_t kDrainPollUs = 5'000;
+
+util::Status unavailable(const std::string& why) {
+  return util::Status(util::StatusCode::kUnavailable, "tcp-bulk: " + why);
+}
 
 }  // namespace
 
-TcpBulkBackend::TcpBulkBackend(Endpoint& endpoint, TcpBulkOptions opts)
+TcpBulkChannel::TcpBulkChannel(Endpoint& endpoint, Deliver deliver,
+                               TcpBulkOptions opts)
     : endpoint_(endpoint),
-      opts_(opts),
-      tm_(resolve_bulk_counters(BulkBackend::kTcp, endpoint.node())) {
+      reactor_(endpoint.reactor()),
+      deliver_(std::move(deliver)),
+      opts_(opts) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     throw std::system_error(errno, std::generic_category(), "tcp-bulk socket");
@@ -56,216 +63,108 @@ TcpBulkBackend::TcpBulkBackend(Endpoint& endpoint, TcpBulkOptions opts)
                     &bound_len) == 0) {
     tcp_port_ = ntohs(bound.sin_port);
   }
-  // Before run() the constructing thread may configure the reactor freely.
-  reactor_.watch_fd(listen_fd_, EPOLLIN,
-                    [this](std::uint32_t) { accept_ready(); });
-  loop_thread_ = std::thread([this] { reactor_.run(); });
+
+  const std::string prefix =
+      "bulk.tcp." + std::to_string(endpoint.node()) + ".";
+  MetricsRegistry& registry = MetricsRegistry::global();
+  tm_sent_ = registry.counter(prefix + "sent");
+  tm_received_ = registry.counter(prefix + "received");
+  tm_failures_ = registry.counter(prefix + "failures");
+  tm_repairs_ = registry.counter(prefix + "repairs");
+
+  endpoint_.run_on_loop([this] {
+    reactor_.watch_fd(listen_fd_, EPOLLIN,
+                      [this](std::uint32_t) { accept_ready(); });
+  });
 }
 
-TcpBulkBackend::~TcpBulkBackend() {
-  // Fail anything still queued so no caller blocks past destruction, then
-  // stop the loop and close every fd. The wait on the posted cleanup is
-  // bounded by the same grace deadline send_bundle callers get: if the loop
-  // thread is wedged, fall through to stop() + join rather than spinning
-  // here forever.
-  std::shared_ptr<Pending> stopped = std::make_shared<Pending>();
-  reactor_.post([this, stopped] {
-    for (auto& [peer, conn] : conns_) {
-      reactor_.cancel(conn->connect_timer);
-      for (auto& frame : conn->queue) {
-        reactor_.cancel(frame.deadline_timer);
-        complete(frame.pending,
-                 util::Status(util::StatusCode::kShutdown,
-                              "tcp-bulk backend shutting down"));
-      }
-      reactor_.unwatch_fd(conn->fd);
-      ::close(conn->fd);
-    }
-    conns_.clear();
-    lru_.clear();
+TcpBulkChannel::~TcpBulkChannel() {
+  endpoint_.run_on_loop([this] {
+    close_all(util::Status(util::StatusCode::kShutdown,
+                           "tcp-bulk: channel shutting down"));
     for (auto& [fd, in] : inbound_) {
       reactor_.unwatch_fd(fd);
       ::close(fd);
     }
     inbound_.clear();
-    complete(stopped, util::Status::ok());
-    reactor_.stop();
+    reactor_.unwatch_fd(listen_fd_);
   });
-  {
-    const std::int64_t grace_deadline =
-        Clock::monotonic().now_us() + kReactorGraceUs;
-    util::MutexLock lock(stopped->mu);
-    while (!stopped->done) {
-      const std::int64_t now = Clock::monotonic().now_us();
-      if (now >= grace_deadline) break;
-      stopped->cv.wait_for_us(stopped->mu, grace_deadline - now);
-    }
+  ::close(listen_fd_);
+}
+
+TcpBulkChannel::Stats TcpBulkChannel::stats() const {
+  Stats s;
+  s.bundles_sent = sent_.load(std::memory_order_relaxed);
+  s.bundles_received = received_.load(std::memory_order_relaxed);
+  s.send_failures = failures_.load(std::memory_order_relaxed);
+  s.repairs = repairs_.load(std::memory_order_relaxed);
+  return s;
+}
+
+void TcpBulkChannel::send_bundle(net::NodeId dst, std::uint16_t contact,
+                                 net::Port port, util::Buffer payload,
+                                 std::int64_t timeout_us, Done done) {
+  OutFrame frame;
+  frame.id = next_frame_id_++;
+  frame.payload = std::move(payload);
+  frame.done = std::move(done);
+  util::Status error;
+  Conn* conn = draining_ ? nullptr : ensure_conn(dst, contact, &error);
+  if (conn == nullptr) {
+    finish_frame(frame, draining_ ? unavailable("channel draining")
+                                  : std::move(error));
+    return;
   }
-  reactor_.stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-void TcpBulkBackend::set_peer_contact(net::NodeId peer, std::uint16_t port) {
-  util::MutexLock lock(mu_);
-  if (port == 0) {
-    contacts_.erase(peer);
-  } else {
-    contacts_[peer] = port;
-  }
-}
-
-std::uint16_t TcpBulkBackend::peer_contact(net::NodeId peer) const {
-  util::MutexLock lock(mu_);
-  const auto it = contacts_.find(peer);
-  return it == contacts_.end() ? 0 : it->second;
-}
-
-void TcpBulkBackend::complete(const std::shared_ptr<Pending>& pending,
-                              util::Status status) {
-  util::MutexLock lock(pending->mu);
-  if (pending->done) return;
-  pending->done = true;
-  pending->status = std::move(status);
-  pending->cv.notify_all();
-}
-
-util::Status TcpBulkBackend::send_bundle(net::NodeId dst, net::Port port,
-                                         util::Buffer payload,
-                                         std::int64_t timeout_us) {
-  util::Buffer frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  util::WireWriter header(frame);
+  util::WireWriter header(frame.header);
   header.u32(kTcpBulkMagic);
   header.u32(endpoint_.node());
   header.u16(port);
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.raw(payload);
-
-  auto pending = std::make_shared<Pending>();
-  reactor_.post([this, dst, frame = std::move(frame), pending,
-                 timeout_us]() mutable {
-    start_send(dst, std::move(frame), pending, timeout_us);
-  });
-
-  const std::int64_t grace_deadline =
-      Clock::monotonic().now_us() + timeout_us + kReactorGraceUs;
-  util::Status result;
-  {
-    util::MutexLock lock(pending->mu);
-    while (!pending->done) {
-      const std::int64_t now = Clock::monotonic().now_us();
-      if (now >= grace_deadline) {
-        pending->done = true;
-        pending->status =
-            util::Status(util::StatusCode::kTimeout,
-                         "tcp-bulk: reactor missed the send deadline");
-        break;
-      }
-      pending->cv.wait_for_us(pending->mu, grace_deadline - now);
-    }
-    result = pending->status;
-  }
-  {
-    util::MutexLock lock(mu_);
-    if (result.is_ok()) {
-      ++stats_.bundles_sent;
-      tm_.sent->add();
-    } else {
-      ++stats_.send_failures;
-      tm_.failures->add();
-    }
-  }
-  return result;
-}
-
-std::optional<TransportBackend::Bundle> TcpBulkBackend::recv_bundle(
-    net::Port port, std::int64_t timeout_us) {
-  const std::int64_t deadline = Clock::monotonic().now_us() + timeout_us;
-  util::MutexLock lock(mu_);
-  PortQueue& queue = port_queue(port);
-  while (queue.bundles.empty()) {
-    const std::int64_t now = Clock::monotonic().now_us();
-    if (now >= deadline) return std::nullopt;
-    queue.cv.wait_for_us(mu_, deadline - now);
-  }
-  Bundle bundle = std::move(queue.bundles.front());
-  queue.bundles.pop_front();
-  return bundle;
-}
-
-TcpBulkBackend::PortQueue& TcpBulkBackend::port_queue(net::Port port) {
-  auto& slot = delivered_[port];
-  if (slot == nullptr) slot = std::make_unique<PortQueue>();
-  return *slot;
-}
-
-TransportBackend::Stats TcpBulkBackend::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
-}
-
-std::size_t TcpBulkBackend::cached_connections() const {
-  util::MutexLock lock(mu_);
-  return cached_conns_gauge_;
-}
-
-// ---------------------------------------------------------------------------
-// Reactor-loop-thread side
-
-void TcpBulkBackend::start_send(net::NodeId dst, util::Buffer frame,
-                                std::shared_ptr<Pending> pending,
-                                std::int64_t timeout_us) {
-  if (draining_) {
-    complete(pending, util::Status(util::StatusCode::kUnavailable,
-                                   "tcp-bulk: backend draining"));
-    return;
-  }
-  util::Status error;
-  Conn* conn = ensure_conn(dst, &error);
-  if (conn == nullptr) {
-    complete(pending, std::move(error));
-    return;
-  }
-  OutFrame out;
-  out.bytes = std::move(frame);
-  out.pending = pending;
-  out.deadline_timer = reactor_.call_after(
-      timeout_us, [this, dst, pending] { frame_deadline(dst, pending); });
-  conn->queue.push_back(std::move(out));
+  header.u32(static_cast<std::uint32_t>(frame.payload.size()));
+  const std::uint64_t id = frame.id;
+  frame.deadline_timer = reactor_.call_after(
+      timeout_us, [this, dst, id] { frame_deadline(dst, id); });
+  conn->queue.push_back(std::move(frame));
+  queued_frames_.fetch_add(1, std::memory_order_relaxed);
   lru_.erase(conn->lru_it);
   lru_.push_front(dst);
   conn->lru_it = lru_.begin();
   if (conn->connected) flush_conn(*conn);
-  // flush_conn may have torn the connection down on a hard write error.
-  if (conns_.count(dst) != 0) update_conn_watch(*conn);
+  update_conn_watch(dst);
 }
 
-TcpBulkBackend::Conn* TcpBulkBackend::ensure_conn(net::NodeId dst,
+void TcpBulkChannel::finish_frame(OutFrame& frame, util::Status status) {
+  reactor_.cancel(frame.deadline_timer);
+  if (status.is_ok()) {
+    sent_.fetch_add(1, std::memory_order_relaxed);
+    tm_sent_->add();
+    frame.payload.clear();
+  } else {
+    failures_.fetch_add(1, std::memory_order_relaxed);
+    tm_failures_->add();
+  }
+  frame.done(std::move(status), std::move(frame.payload));
+}
+
+TcpBulkChannel::Conn* TcpBulkChannel::ensure_conn(net::NodeId dst,
+                                                  std::uint16_t contact,
                                                   util::Status* error) {
   const auto it = conns_.find(dst);
   if (it != conns_.end()) return it->second.get();
 
   const auto addr = endpoint_.peer_addr(dst);
-  const std::uint16_t contact = peer_contact(dst);
   if (!addr.has_value() || addr->ipv4 == 0) {
-    *error = util::Status(util::StatusCode::kUnavailable,
-                          "tcp-bulk: no address for node " +
-                              std::to_string(dst));
+    *error = unavailable("no address for node " + std::to_string(dst));
     return nullptr;
   }
   if (contact == 0) {
-    *error = util::Status(util::StatusCode::kUnavailable,
-                          "tcp-bulk: node " + std::to_string(dst) +
-                              " advertised no tcp contact port");
+    *error = unavailable("node " + std::to_string(dst) +
+                         " advertised no tcp contact port");
     return nullptr;
   }
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    *error = util::Status(util::StatusCode::kUnavailable,
-                          std::string("tcp-bulk: socket: ") +
-                              std::strerror(errno));
+    *error = unavailable(std::string("socket: ") + std::strerror(errno));
     return nullptr;
   }
   const int one = 1;
@@ -288,17 +187,15 @@ TcpBulkBackend::Conn* TcpBulkBackend::ensure_conn(net::NodeId dst,
   if (rc == 0) {
     conn->connected = true;
   } else if (errno == EINPROGRESS) {
-    conn->connected = false;
     conn->connect_timer = reactor_.call_after(
         opts_.connect_timeout_us, [this, dst] {
-          fail_conn(dst, util::StatusCode::kTimeout,
-                    "tcp-bulk: connect to node " + std::to_string(dst) +
-                        " timed out");
+          fail_conn(dst, util::Status(util::StatusCode::kTimeout,
+                                      "tcp-bulk: connect to node " +
+                                          std::to_string(dst) + " timed out"));
         });
   } else {
-    *error = util::Status(util::StatusCode::kUnavailable,
-                          "tcp-bulk: connect to node " + std::to_string(dst) +
-                              ": " + std::strerror(errno));
+    *error = unavailable("connect to node " + std::to_string(dst) + ": " +
+                         std::strerror(errno));
     ::close(fd);
     return nullptr;
   }
@@ -306,248 +203,188 @@ TcpBulkBackend::Conn* TcpBulkBackend::ensure_conn(net::NodeId dst,
   conn->lru_it = lru_.begin();
   Conn* raw = conn.get();
   conns_[dst] = std::move(conn);
-  reactor_.watch_fd(fd, raw->connected ? EPOLLIN : (EPOLLIN | EPOLLOUT),
-                    [this, dst](std::uint32_t events) {
-                      conn_event(dst, events);
-                    });
+  update_conn_watch(dst);
   evict_idle_over_cap();
-  {
-    util::MutexLock lock(mu_);
-    cached_conns_gauge_ = conns_.size();
-  }
-  if (conns_.count(dst) == 0) {
-    // Unreachable with a sane cache cap (eviction spares the MRU entry),
-    // but never hand back a dangling pointer with an OK status.
-    *error = util::Status(util::StatusCode::kUnavailable,
-                          "tcp-bulk: connection cache rejected node " +
-                              std::to_string(dst));
-    return nullptr;
-  }
+  cached_conns_.store(conns_.size(), std::memory_order_relaxed);
   return raw;
 }
 
-void TcpBulkBackend::conn_event(net::NodeId dst, std::uint32_t events) {
+void TcpBulkChannel::conn_event(net::NodeId dst, std::uint32_t events) {
   const auto it = conns_.find(dst);
   if (it == conns_.end()) return;
   Conn& conn = *it->second;
   if (!conn.connected) {
-    if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
-      int err = 0;
-      socklen_t err_len = sizeof(err);
-      if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0) {
-        err = errno;
-      }
-      if (err != 0) {
-        fail_conn(dst, util::StatusCode::kUnavailable,
-                  "tcp-bulk: connect to node " + std::to_string(dst) + ": " +
-                      std::strerror(err));
-        return;
-      }
-      conn.connected = true;
-      reactor_.cancel(conn.connect_timer);
-      conn.connect_timer = Reactor::kInvalidTimer;
+    if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
+    int err = 0;
+    socklen_t err_len = sizeof(err);
+    if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0) {
+      err = errno;
     }
+    if (err != 0) {
+      fail_conn(dst, unavailable("connect to node " + std::to_string(dst) +
+                                 ": " + std::strerror(err)));
+      return;
+    }
+    conn.connected = true;
+    reactor_.cancel(conn.connect_timer);
+    conn.connect_timer = Reactor::kInvalidTimer;
   } else if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    fail_conn(dst, util::StatusCode::kUnavailable,
-              "tcp-bulk: connection to node " + std::to_string(dst) +
-                  " reset");
+    fail_conn(dst, unavailable("connection to node " + std::to_string(dst) +
+                               " reset"));
     return;
   }
-  if (conn.connected && (events & EPOLLIN) != 0) {
+  if ((events & EPOLLIN) != 0) {
     // Outbound streams are one-way; readable means FIN/reset (or protocol
     // garbage, which gets the same treatment).
     std::uint8_t scratch[256];
     const ssize_t got = ::recv(conn.fd, scratch, sizeof(scratch), 0);
     if (got == 0 || (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                      errno != EINTR)) {
-      fail_conn(dst, util::StatusCode::kUnavailable,
-                "tcp-bulk: node " + std::to_string(dst) +
-                    " closed the bulk stream");
+      fail_conn(dst, unavailable("node " + std::to_string(dst) +
+                                 " closed the bulk stream"));
       return;
     }
   }
-  if (conn.connected && (events & EPOLLOUT) != 0) flush_conn(conn);
-  if (conns_.count(dst) != 0) update_conn_watch(conn);
+  flush_conn(conn);
+  update_conn_watch(dst);
 }
 
-void TcpBulkBackend::flush_conn(Conn& conn) {
+void TcpBulkChannel::flush_conn(Conn& conn) {
   while (!conn.queue.empty()) {
     OutFrame& frame = conn.queue.front();
-    const std::size_t left = frame.bytes.size() - frame.offset;
-    const ssize_t wrote = ::send(conn.fd, frame.bytes.data() + frame.offset,
-                                 left, MSG_NOSIGNAL);
-    if (wrote > 0) {
-      frame.offset += static_cast<std::size_t>(wrote);
-      if (frame.offset == frame.bytes.size()) {
-        reactor_.cancel(frame.deadline_timer);
-        complete(frame.pending, util::Status::ok());
+    const std::size_t header_size = frame.header.size();
+    iovec iov[2];
+    int iov_count = 0;
+    if (frame.sent < header_size) {
+      iov[iov_count++] = {frame.header.data() + frame.sent,
+                          header_size - frame.sent};
+    }
+    const std::size_t body_sent =
+        frame.sent > header_size ? frame.sent - header_size : 0;
+    if (body_sent < frame.payload.size()) {
+      iov[iov_count++] = {frame.payload.data() + body_sent,
+                          frame.payload.size() - body_sent};
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iov_count);
+    const ssize_t wrote =
+        iov_count == 0 ? 0 : ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+    if (wrote >= 0) {
+      frame.sent += static_cast<std::size_t>(wrote);
+      if (frame.sent == header_size + frame.payload.size()) {
+        OutFrame written = std::move(frame);
         conn.queue.pop_front();
+        queued_frames_.fetch_sub(1, std::memory_order_relaxed);
+        finish_frame(written, util::Status::ok());
       }
       continue;
     }
-    if (wrote < 0 && errno == EINTR) continue;
-    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    fail_conn(conn.peer, util::StatusCode::kUnavailable,
-              "tcp-bulk: write to node " + std::to_string(conn.peer) + ": " +
-                  std::strerror(wrote < 0 ? errno : EPIPE));
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    fail_conn(conn.peer, unavailable("write to node " +
+                                     std::to_string(conn.peer) + ": " +
+                                     std::strerror(errno)));
     return;
   }
 }
 
-void TcpBulkBackend::update_conn_watch(Conn& conn) {
+void TcpBulkChannel::update_conn_watch(net::NodeId dst) {
+  // flush_conn may have torn the connection down on a hard write error.
+  const auto it = conns_.find(dst);
+  if (it == conns_.end()) return;
+  Conn& conn = *it->second;
   const std::uint32_t events =
       (!conn.connected || !conn.queue.empty()) ? (EPOLLIN | EPOLLOUT)
                                                : EPOLLIN;
-  const net::NodeId dst = conn.peer;
+  if (events == conn.watched) return;
+  conn.watched = events;
   reactor_.watch_fd(conn.fd, events, [this, dst](std::uint32_t ev) {
     conn_event(dst, ev);
   });
 }
 
-void TcpBulkBackend::frame_deadline(
-    net::NodeId dst, const std::shared_ptr<Pending>& pending) {
+void TcpBulkChannel::frame_deadline(net::NodeId dst, std::uint64_t frame_id) {
   const auto it = conns_.find(dst);
   if (it == conns_.end()) return;
-  Conn& conn = *it->second;
-  bool found = false;
-  for (const auto& frame : conn.queue) {
-    if (frame.pending == pending) {
-      found = true;
-      break;
-    }
+  for (const OutFrame& frame : it->second->queue) {
+    if (frame.id != frame_id) continue;
+    // The frame may be half-written, so the stream is unusable: drop the
+    // connection along with whatever is queued behind it.
+    fail_conn(dst, util::Status(util::StatusCode::kTimeout,
+                                "tcp-bulk: bundle write to node " +
+                                    std::to_string(dst) + " timed out"));
+    return;
   }
-  if (!found) return;  // completed already; stale timer
-  complete(pending,
-           util::Status(util::StatusCode::kTimeout,
-                        "tcp-bulk: bundle write to node " +
-                            std::to_string(dst) + " timed out"));
-  // A frame may be half-written — the stream is unusable; drop the
-  // connection, failing whatever else is queued behind it.
-  fail_conn(dst, util::StatusCode::kUnavailable,
-            "tcp-bulk: connection to node " + std::to_string(dst) +
-                " dropped after send timeout");
 }
 
-void TcpBulkBackend::fail_conn(net::NodeId dst, util::StatusCode code,
-                               const std::string& why) {
+void TcpBulkChannel::fail_conn(net::NodeId dst, const util::Status& status) {
   const auto it = conns_.find(dst);
   if (it == conns_.end()) return;
-  Conn& conn = *it->second;
-  MOCHA_DEBUG(kLogComponent) << why;
-  reactor_.cancel(conn.connect_timer);
-  const bool was_established = conn.connected;
-  for (auto& frame : conn.queue) {
-    reactor_.cancel(frame.deadline_timer);
-    complete(frame.pending, util::Status(code, why));
-  }
-  reactor_.unwatch_fd(conn.fd);
-  ::close(conn.fd);
-  lru_.erase(conn.lru_it);
+  // Detach first: the callbacks below may re-route their bundles.
+  std::unique_ptr<Conn> conn = std::move(it->second);
   conns_.erase(it);
-  util::MutexLock lock(mu_);
-  cached_conns_gauge_ = conns_.size();
-  if (was_established) {
-    ++stats_.repairs;
-    tm_.repairs->add();
+  lru_.erase(conn->lru_it);
+  cached_conns_.store(conns_.size(), std::memory_order_relaxed);
+  MOCHA_DEBUG(kLogComponent) << status.to_string();
+  reactor_.cancel(conn->connect_timer);
+  reactor_.unwatch_fd(conn->fd);
+  ::close(conn->fd);
+  if (conn->connected) {
+    repairs_.fetch_add(1, std::memory_order_relaxed);
+    tm_repairs_->add();
   }
+  queued_frames_.fetch_sub(conn->queue.size(), std::memory_order_relaxed);
+  for (OutFrame& frame : conn->queue) finish_frame(frame, status);
 }
 
-void TcpBulkBackend::evict_idle_over_cap() {
+void TcpBulkChannel::evict_idle_over_cap() {
   while (conns_.size() > opts_.max_cached_connections) {
     // Walk from the LRU tail; only idle connections are evictable, and the
     // MRU entry never is — it is the connection the caller just created or
-    // touched, whose frame is enqueued only after ensure_conn returns (so
-    // an empty queue there does not mean idle).
-    bool evicted = false;
-    for (auto lru_it = lru_.rbegin(); lru_it != lru_.rend(); ++lru_it) {
-      if (*lru_it == lru_.front()) break;
-      const auto it = conns_.find(*lru_it);
-      if (it == conns_.end() || !it->second->queue.empty()) continue;
-      Conn& conn = *it->second;
-      reactor_.cancel(conn.connect_timer);
-      reactor_.unwatch_fd(conn.fd);
-      close_conn_graceful(conn);
-      lru_.erase(conn.lru_it);
-      conns_.erase(it);
-      evicted = true;
-      break;
+    // touched, whose frame is enqueued only after ensure_conn returns.
+    net::NodeId victim = net::kInvalidNode;
+    for (auto lru_it = lru_.rbegin();
+         lru_it != lru_.rend() && *lru_it != lru_.front(); ++lru_it) {
+      if (conns_.at(*lru_it)->queue.empty()) {
+        victim = *lru_it;
+        break;
+      }
     }
-    if (!evicted) break;  // every entry busy: let the cache run hot
+    if (victim == net::kInvalidNode) break;  // every entry busy: run hot
+    close_conn(victim, unavailable("evicted"));
   }
-  util::MutexLock lock(mu_);
-  cached_conns_gauge_ = conns_.size();
 }
 
-void TcpBulkBackend::close_conn_graceful(Conn& conn) {
-  // FIN first so the peer's reader sees clean EOF, linger so close() gives
-  // the kernel a moment to push the tail instead of discarding it.
+void TcpBulkChannel::close_conn(net::NodeId dst, const util::Status& status) {
+  Conn& conn = *conns_.at(dst);
+  // FIN first so the peer's reader sees a clean EOF; the kernel keeps
+  // pushing any unsent tail after close().
   (void)::shutdown(conn.fd, SHUT_WR);
-  linger lg{};
-  lg.l_onoff = 1;
-  lg.l_linger = 1;
-  (void)::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-  ::close(conn.fd);
-  conn.fd = -1;
+  conn.connected = false;  // an orderly close is not a lost connection
+  fail_conn(dst, status);
 }
 
-bool TcpBulkBackend::drain(std::int64_t timeout_us) {
-  auto done_signal = std::make_shared<Pending>();
+void TcpBulkChannel::close_all(const util::Status& status) {
+  while (!conns_.empty()) close_conn(conns_.begin()->first, status);
+}
+
+bool TcpBulkChannel::drain(std::int64_t timeout_us) {
   const std::int64_t deadline = Clock::monotonic().now_us() + timeout_us;
-  reactor_.post([this, done_signal, deadline] {
-    draining_ = true;
-    drain_tick(done_signal, deadline);
+  endpoint_.run_on_loop([this] { draining_ = true; });
+  while (queued_frames_.load(std::memory_order_relaxed) > 0 &&
+         Clock::monotonic().now_us() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(kDrainPollUs));
+  }
+  const bool flushed = queued_frames_.load(std::memory_order_relaxed) == 0;
+  endpoint_.run_on_loop([this] {
+    close_all(util::Status(util::StatusCode::kShutdown,
+                           "tcp-bulk: drained before the bundle flushed"));
   });
-  util::MutexLock lock(done_signal->mu);
-  while (!done_signal->done) {
-    const std::int64_t now = Clock::monotonic().now_us();
-    if (now >= deadline + kReactorGraceUs) return false;
-    done_signal->cv.wait_for_us(done_signal->mu,
-                                deadline + kReactorGraceUs - now);
-  }
-  return done_signal->status.is_ok();
+  return flushed;
 }
 
-void TcpBulkBackend::drain_tick(std::shared_ptr<Pending> done_signal,
-                                std::int64_t deadline_us) {
-  bool busy = false;
-  for (const auto& [peer, conn] : conns_) {
-    if (!conn->queue.empty()) {
-      busy = true;
-      break;
-    }
-  }
-  const std::int64_t now = Clock::monotonic().now_us();
-  if (busy && now < deadline_us) {
-    reactor_.call_after(kDrainTickUs, [this, done_signal, deadline_us] {
-      drain_tick(done_signal, deadline_us);
-    });
-    return;
-  }
-  for (auto& [peer, conn] : conns_) {
-    reactor_.cancel(conn->connect_timer);
-    for (auto& frame : conn->queue) {  // only when the deadline cut us short
-      reactor_.cancel(frame.deadline_timer);
-      complete(frame.pending,
-               util::Status(util::StatusCode::kShutdown,
-                            "tcp-bulk: drained before the bundle flushed"));
-    }
-    reactor_.unwatch_fd(conn->fd);
-    close_conn_graceful(*conn);
-  }
-  conns_.clear();
-  lru_.clear();
-  {
-    util::MutexLock lock(mu_);
-    cached_conns_gauge_ = 0;
-  }
-  complete(done_signal,
-           busy ? util::Status(util::StatusCode::kTimeout,
-                               "tcp-bulk: drain deadline hit with frames "
-                               "still queued")
-                : util::Status::ok());
-}
-
-void TcpBulkBackend::accept_ready() {
+void TcpBulkChannel::accept_ready() {
   while (true) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -561,71 +398,71 @@ void TcpBulkBackend::accept_ready() {
   }
 }
 
-void TcpBulkBackend::inbound_event(int fd, std::uint32_t events) {
+void TcpBulkChannel::close_inbound(int fd) {
+  reactor_.unwatch_fd(fd);
+  ::close(fd);
+  inbound_.erase(fd);
+}
+
+void TcpBulkChannel::inbound_event(int fd, std::uint32_t events) {
   const auto it = inbound_.find(fd);
   if (it == inbound_.end()) return;
   Inbound& in = *it->second;
-  const auto close_inbound = [&] {
-    reactor_.unwatch_fd(fd);
-    ::close(fd);
-    inbound_.erase(fd);
-  };
   if ((events & (EPOLLERR | EPOLLHUP)) != 0 && (events & EPOLLIN) == 0) {
-    close_inbound();
+    close_inbound(fd);
     return;
   }
-  std::uint8_t chunk[64 * 1024];
   while (true) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    std::uint8_t* into = nullptr;
+    std::size_t want = 0;
+    if (in.in_payload) {
+      into = in.payload.data() + in.payload_have;
+      want = in.payload.size() - in.payload_have;
+    } else {
+      into = in.header + in.header_have;
+      want = kFrameHeaderBytes - in.header_have;
+    }
+    const ssize_t got = ::recv(fd, into, want, 0);
     if (got > 0) {
-      in.buf.insert(in.buf.end(), chunk, chunk + got);
-      if (got == static_cast<ssize_t>(sizeof(chunk))) continue;
-      break;
+      const auto n = static_cast<std::size_t>(got);
+      (in.in_payload ? in.payload_have : in.header_have) += n;
+      if (!advance_frame(in)) return;
+      continue;
     }
     if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    close_inbound();  // EOF (peer drained/evicted) or hard error
+    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    close_inbound(fd);  // EOF (peer drained/evicted) or hard error
     return;
   }
-  std::size_t consumed = 0;
-  while (in.buf.size() - consumed >= kFrameHeaderBytes) {
-    // Bounds-checked header decode; the size guard above ensures the
-    // fixed header reads cannot throw.
-    util::WireReader head(
-        std::span<const std::uint8_t>(in.buf).subspan(consumed));
+}
+
+bool TcpBulkChannel::advance_frame(Inbound& in) {
+  if (!in.in_payload) {
+    if (in.header_have < kFrameHeaderBytes) return true;
+    util::WireReader head(std::span<const std::uint8_t>(in.header));
     const std::uint32_t magic = head.u32();
-    const net::NodeId src = head.u32();
-    const net::Port port = head.u16();
+    in.src = head.u32();
+    in.port = head.u16();
     const std::size_t len = head.u32();
-    if (magic != kTcpBulkMagic) {
-      MOCHA_WARN(kLogComponent) << "bad frame magic on inbound bulk stream";
-      close_inbound();
-      return;
-    }
-    if (len > opts_.max_frame_bytes) {
+    if (magic != kTcpBulkMagic || len > opts_.max_frame_bytes) {
       MOCHA_WARN(kLogComponent)
-          << "oversized inbound bulk frame (" << len << " bytes)";
-      close_inbound();
-      return;
+          << "corrupt inbound bulk frame header (magic " << magic << ", "
+          << len << " bytes); closing the stream";
+      close_inbound(in.fd);
+      return false;
     }
-    if (in.buf.size() - consumed < kFrameHeaderBytes + len) break;
-    Bundle bundle;
-    bundle.src = src;
-    bundle.port = port;
-    const std::span<const std::uint8_t> body = head.raw(len);
-    bundle.payload.assign(body.begin(), body.end());
-    consumed += kFrameHeaderBytes + len;
-    util::MutexLock lock(mu_);
-    PortQueue& queue = port_queue(bundle.port);
-    queue.bundles.push_back(std::move(bundle));
-    queue.cv.notify_all();
-    ++stats_.bundles_received;
-    tm_.received->add();
+    in.in_payload = true;
+    in.payload.resize(len);
+    in.payload_have = 0;
   }
-  if (consumed > 0) {
-    in.buf.erase(in.buf.begin(),
-                 in.buf.begin() + static_cast<std::ptrdiff_t>(consumed));
-  }
+  if (in.payload_have < in.payload.size()) return true;
+  in.in_payload = false;
+  in.header_have = 0;
+  received_.fetch_add(1, std::memory_order_relaxed);
+  tm_received_->add();
+  deliver_(in.src, in.port, std::move(in.payload));
+  in.payload = util::Buffer{};
+  return true;
 }
 
 }  // namespace mocha::live

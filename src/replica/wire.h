@@ -91,8 +91,9 @@ enum MsgType : std::uint8_t {
 
 // Bulk-backend capability bits carried by kBulkHello/kBulkHelloAck (§10).
 // Every daemon can receive on the MochaNet-UDP data port, so kBulkCapUdp is
-// always set by live senders; the other bits are set when the corresponding
-// receive loop is running.
+// always set by live senders; kBulkCapTcp is set when the daemon's TCP bulk
+// listener is open. kBulkCapBatchedUdp is reserved: the batched-UDP backend
+// was removed, live senders never set it, and receivers ignore it.
 constexpr std::uint8_t kBulkCapUdp = 1u << 0;
 constexpr std::uint8_t kBulkCapTcp = 1u << 1;
 constexpr std::uint8_t kBulkCapBatchedUdp = 1u << 2;
@@ -410,9 +411,10 @@ struct ShardMapReplyMsg {
 };
 
 // kBulkHello: daemon -> peer daemon (kDaemonPort). Advertises the sender's
-// bulk-receive capabilities: `backends` is a kBulkCap* bitmask, tcp_port /
-// budp_port are the TCP bulk listener and batched-UDP socket ports (host
-// byte order; 0 = that backend is not offered). The sender's IPv4 address is
+// bulk-receive capabilities: `backends` is a kBulkCap* bitmask, tcp_port is
+// the TCP bulk listener's port (host byte order; 0 = not offered). budp_port
+// is reserved (the removed batched-UDP backend's port): always 0, kept so
+// older peers still decode the message. The sender's IPv4 address is
 // not carried — the receiver already learned it from the datagram envelope.
 struct BulkHelloMsg {
   std::uint32_t site = 0;

@@ -354,7 +354,7 @@ TEST(LockWireCodec, BulkHelloRoundTrip) {
   msg.site = 42;
   msg.backends = replica::kBulkCapUdp | replica::kBulkCapTcp;
   msg.tcp_port = 40123;
-  msg.budp_port = 0;  // TCP offered, batched-UDP not
+  msg.budp_port = 0;  // reserved: live senders always send 0
 
   util::Buffer wire;
   msg.encode(wire);
@@ -368,6 +368,8 @@ TEST(LockWireCodec, BulkHelloRoundTrip) {
 }
 
 TEST(LockWireCodec, BulkHelloAckRoundTrip) {
+  // An older peer may still set the reserved batched-UDP bit and port; the
+  // message must decode unchanged.
   replica::BulkHelloAckMsg msg;
   msg.site = 7;
   msg.backends = replica::kBulkCapUdp | replica::kBulkCapBatchedUdp;

@@ -1,15 +1,16 @@
-// Hybrid bulk-transport tests (§10): the pluggable TransportBackend bulk
-// path — TCP bulk with its LRU connection cache, the batched-UDP speed lane
-// with probe/NACK repair, and the BULK-HELLO negotiation that lets mixed
-// deployments fall back to the MochaNet-UDP data port.
+// Hybrid bulk-transport tests (§10): the TCP bulk channel with its LRU
+// connection cache, the hybrid daemon's routing by bundle size, and the
+// BULK-HELLO negotiation that lets mixed deployments fall back to the
+// MochaNet-UDP data port.
 //
-// In-process tests drive the backends directly (typed kUnavailable /
-// kTimeout on refused and stalled peers, byte-equality round trips, loss
-// repair) and through the full daemon stack (fast path vs negotiation
-// fallback). The multi-process test forks the mocha_live CLI once per
-// backend (--bulk-backend udp / tcp) and asserts both runs leave
-// byte-identical replicas, with the tcp run demonstrably riding the fast
-// path (bulk_fast_served in the bench JSON).
+// In-process tests drive the channel directly on an endpoint's loop (typed
+// kUnavailable / kTimeout on refused and stalled peers, byte-equality round
+// trips) and through the full daemon stack (routing by size, fast path vs
+// negotiation fallback, re-serving a refused TCP send on the endpoint). The
+// multi-process test forks the mocha_live CLI once per backend
+// (--bulk-backend udp / tcp, and the hybrid default) and asserts every run
+// leaves byte-identical replicas, with the TCP-capable runs demonstrably
+// riding the fast path (bulk_fast_served in the bench JSON).
 //
 // All waits scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes set it).
 #include <gtest/gtest.h>
@@ -22,9 +23,15 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,7 +42,6 @@
 #include "live/lock_client.h"
 #include "live/lock_server.h"
 #include "live/tcp_bulk.h"
-#include "live/transport_backend.h"
 
 #ifndef MOCHA_LIVE_BIN
 #error "MOCHA_LIVE_BIN must point at the mocha_live executable"
@@ -60,7 +66,7 @@ util::Buffer make_payload(std::size_t n, std::uint8_t seed) {
 constexpr net::Port kBundlePort = 61;
 
 // Two loopback endpoints that know each other's UDP addresses — the
-// address table every backend resolves peers through.
+// address table the channel resolves peers through.
 struct Pair {
   Pair() : a(2, 0), b(3, 0) {
     a.add_peer(3, "127.0.0.1", b.udp_port());
@@ -70,84 +76,141 @@ struct Pair {
   Endpoint b;
 };
 
+// A channel on `ep` whose inbound frames queue up for the test thread.
+struct Channel {
+  struct Frame {
+    net::NodeId src = 0;
+    net::Port port = 0;
+    util::Buffer payload;
+  };
+
+  explicit Channel(Endpoint& endpoint, TcpBulkOptions opts = {})
+      : ep(endpoint),
+        channel(
+            endpoint,
+            [this](net::NodeId src, net::Port port, util::Buffer payload) {
+              std::lock_guard<std::mutex> lock(mu);
+              frames.push_back(Frame{src, port, std::move(payload)});
+              cv.notify_all();
+            },
+            opts) {}
+
+  // Sends on the loop, as the daemon does, and waits for the outcome. A
+  // failed send must hand the payload back untouched.
+  util::Status send(net::NodeId dst, std::uint16_t contact,
+                    const util::Buffer& payload, std::int64_t timeout_us) {
+    auto outcome = std::make_shared<std::promise<util::Status>>();
+    std::future<util::Status> result = outcome->get_future();
+    TcpBulkChannel* ch = &channel;
+    ep.run_on_loop([ch, dst, contact, payload, timeout_us, outcome] {
+      ch->send_bundle(
+          dst, contact, kBundlePort, payload, timeout_us,
+          [payload, outcome](util::Status status, util::Buffer back) {
+            if (!status.is_ok()) {
+              EXPECT_EQ(back, payload);
+            }
+            outcome->set_value(std::move(status));
+          });
+    });
+    return result.get();
+  }
+
+  std::optional<Frame> next(std::int64_t timeout_us) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::microseconds(timeout_us),
+                     [this] { return !frames.empty(); })) {
+      return std::nullopt;
+    }
+    Frame frame = std::move(frames.front());
+    frames.pop_front();
+    return frame;
+  }
+
+  Endpoint& ep;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Frame> frames;
+  TcpBulkChannel channel;  // last: its callback uses the members above
+};
+
+// A loopback TCP port nothing listens on.
+std::uint16_t refused_port() {
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  ::close(probe);
+  return ntohs(addr.sin_port);
+}
+
 TEST(BulkBackendName, ParsesAndNamesAllKinds) {
   EXPECT_EQ(parse_bulk_backend("udp"), BulkBackend::kUdp);
   EXPECT_EQ(parse_bulk_backend("tcp"), BulkBackend::kTcp);
-  EXPECT_EQ(parse_bulk_backend("batched-udp"), BulkBackend::kBatchedUdp);
-  EXPECT_EQ(parse_bulk_backend("budp"), BulkBackend::kBatchedUdp);
+  EXPECT_EQ(parse_bulk_backend("hybrid"), BulkBackend::kHybrid);
+  EXPECT_FALSE(parse_bulk_backend("batched-udp").has_value());
   EXPECT_FALSE(parse_bulk_backend("carrier-pigeon").has_value());
   EXPECT_STREQ(bulk_backend_name(BulkBackend::kUdp), "udp");
   EXPECT_STREQ(bulk_backend_name(BulkBackend::kTcp), "tcp");
-  EXPECT_STREQ(bulk_backend_name(BulkBackend::kBatchedUdp), "batched-udp");
+  EXPECT_STREQ(bulk_backend_name(BulkBackend::kHybrid), "hybrid");
 }
 
 TEST(TcpBulk, RoundTripReusesCachedConnection) {
   Pair net;
-  TcpBulkBackend tx(net.a);
-  TcpBulkBackend rx(net.b);
-  tx.set_peer_contact(3, rx.contact_port());
+  Channel tx(net.a);
+  Channel rx(net.b);
 
   const util::Buffer small = make_payload(512, 1);
   const util::Buffer large = make_payload(1 << 20, 2);
   const std::int64_t timeout = 5'000'000LL * time_scale();
-  ASSERT_TRUE(tx.send_bundle(3, kBundlePort, small, timeout).is_ok());
-  ASSERT_TRUE(tx.send_bundle(3, kBundlePort, large, timeout).is_ok());
+  const std::uint16_t contact = rx.channel.contact_port();
+  ASSERT_TRUE(tx.send(3, contact, small, timeout).is_ok());
+  ASSERT_TRUE(tx.send(3, contact, large, timeout).is_ok());
 
-  auto first = rx.recv_bundle(kBundlePort, timeout);
+  auto first = rx.next(timeout);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->src, 2u);
   EXPECT_EQ(first->port, kBundlePort);
   EXPECT_EQ(first->payload, small);
-  auto second = rx.recv_bundle(kBundlePort, timeout);
+  auto second = rx.next(timeout);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->payload, large);
 
   // Both frames rode ONE cached connection (the LRU hit, not a redial).
-  EXPECT_EQ(tx.cached_connections(), 1u);
-  EXPECT_EQ(tx.stats().bundles_sent, 2u);
-  EXPECT_EQ(rx.stats().bundles_received, 2u);
+  EXPECT_EQ(tx.channel.cached_connections(), 1u);
+  EXPECT_EQ(tx.channel.stats().bundles_sent, 2u);
+  EXPECT_EQ(rx.channel.stats().bundles_received, 2u);
 }
 
 TEST(TcpBulk, NoContactIsUnavailable) {
   Pair net;
-  TcpBulkBackend tx(net.a);
+  Channel tx(net.a);
   // Peer 3 never sent a BULK-HELLO: no contact port recorded.
   const util::Status status =
-      tx.send_bundle(3, kBundlePort, make_payload(64, 3),
-                     200'000LL * time_scale());
+      tx.send(3, /*contact=*/0, make_payload(64, 3), 200'000LL * time_scale());
   EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ(tx.stats().send_failures, 1u);
+  EXPECT_EQ(tx.channel.stats().send_failures, 1u);
 }
 
 TEST(TcpBulk, ConnectRefusedIsUnavailable) {
   Pair net;
-  TcpBulkBackend tx(net.a);
-  // A port that was just bound and released: nothing listens there.
-  int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(probe, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const std::uint16_t dead_port = ntohs(addr.sin_port);
-  ::close(probe);
-
-  tx.set_peer_contact(3, dead_port);
-  const util::Status status =
-      tx.send_bundle(3, kBundlePort, make_payload(64, 4),
-                     2'000'000LL * time_scale());
-  EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
+  Channel tx(net.a);
+  const util::Status status = tx.send(3, refused_port(), make_payload(64, 4),
+                                      2'000'000LL * time_scale());
+  EXPECT_EQ(status.code(), util::StatusCode::kUnavailable)
+      << status.to_string();
+  EXPECT_EQ(tx.channel.cached_connections(), 0u);
 }
 
 TEST(TcpBulk, StalledPeerYieldsTypedTimeout) {
   Pair net;
   TcpBulkOptions opts;
   opts.send_buffer_bytes = 4096;  // tiny SO_SNDBUF: a stalled reader bites
-  TcpBulkBackend tx(net.a, opts);
+  Channel tx(net.a, opts);
 
   // A listener whose accept queue completes the handshake but which never
   // accepts or reads: the frame wedges in flight and the send deadline — a
@@ -163,83 +226,30 @@ TEST(TcpBulk, StalledPeerYieldsTypedTimeout) {
   socklen_t len = sizeof(addr);
   ASSERT_EQ(
       ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  tx.set_peer_contact(3, ntohs(addr.sin_port));
 
-  const util::Status status =
-      tx.send_bundle(3, kBundlePort, make_payload(8 << 20, 5),
-                     500'000LL * time_scale());
+  const util::Status status = tx.send(3, ntohs(addr.sin_port),
+                                      make_payload(8 << 20, 5),
+                                      500'000LL * time_scale());
   EXPECT_EQ(status.code(), util::StatusCode::kTimeout) << status.to_string();
-  EXPECT_EQ(tx.stats().send_failures, 1u);
+  EXPECT_EQ(tx.channel.stats().send_failures, 1u);
   ::close(listener);
 }
 
 TEST(TcpBulk, DrainClosesCachedConnections) {
   Pair net;
-  TcpBulkBackend tx(net.a);
-  TcpBulkBackend rx(net.b);
-  tx.set_peer_contact(3, rx.contact_port());
+  Channel tx(net.a);
+  Channel rx(net.b);
+  const std::uint16_t contact = rx.channel.contact_port();
   const std::int64_t timeout = 5'000'000LL * time_scale();
-  ASSERT_TRUE(
-      tx.send_bundle(3, kBundlePort, make_payload(1024, 6), timeout).is_ok());
-  ASSERT_TRUE(rx.recv_bundle(kBundlePort, timeout).has_value());
-  ASSERT_EQ(tx.cached_connections(), 1u);
+  ASSERT_TRUE(tx.send(3, contact, make_payload(1024, 6), timeout).is_ok());
+  ASSERT_TRUE(rx.next(timeout).has_value());
+  ASSERT_EQ(tx.channel.cached_connections(), 1u);
 
-  EXPECT_TRUE(tx.drain(timeout));
-  EXPECT_EQ(tx.cached_connections(), 0u);
+  EXPECT_TRUE(tx.channel.drain(timeout));
+  EXPECT_EQ(tx.channel.cached_connections(), 0u);
   // Post-drain sends are refused, not silently queued into a closing cache.
-  EXPECT_EQ(
-      tx.send_bundle(3, kBundlePort, make_payload(64, 7), timeout).code(),
-      util::StatusCode::kUnavailable);
-}
-
-TEST(BatchedUdp, RoundTripMovesMultiFragmentBundles) {
-  Pair net;
-  BatchedUdpBackend tx(net.a);
-  BatchedUdpBackend rx(net.b);
-  tx.set_peer_contact(3, rx.contact_port());
-
-  const util::Buffer payload = make_payload(1 << 20, 8);  // ~750 fragments
-  const std::int64_t timeout = 5'000'000LL * time_scale();
-  ASSERT_TRUE(tx.send_bundle(3, kBundlePort, payload, timeout).is_ok());
-  auto got = rx.recv_bundle(kBundlePort, timeout);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->src, 2u);
-  EXPECT_EQ(got->payload, payload);
-  EXPECT_EQ(tx.stats().bundles_sent, 1u);
-  EXPECT_EQ(rx.stats().bundles_received, 1u);
-}
-
-TEST(BatchedUdp, ProbeNackRepairSurvivesInjectedLoss) {
-  Pair net;
-  BatchedUdpBackend tx(net.a);
-  BatchedUdpOptions lossy;
-  lossy.recv_loss_pct = 25.0;  // every burst loses fragments
-  lossy.netem_seed = 0xfeedu;
-  BatchedUdpBackend rx(net.b, lossy);
-  tx.set_peer_contact(3, rx.contact_port());
-
-  const util::Buffer payload = make_payload(512 << 10, 9);
-  const std::int64_t timeout = 10'000'000LL * time_scale();
-  ASSERT_TRUE(tx.send_bundle(3, kBundlePort, payload, timeout).is_ok());
-  auto got = rx.recv_bundle(kBundlePort, timeout);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload, payload);
-  // At 25% inbound loss the first burst cannot have been complete: the
-  // probe/NACK loop must have resent fragments.
-  EXPECT_GT(tx.stats().repairs, 0u);
-}
-
-TEST(BatchedUdp, DeadPeerYieldsTypedTimeout) {
-  Pair net;
-  BatchedUdpBackend tx(net.a);
-  // Contact port where no batched-UDP socket lives: bursts and probes all
-  // vanish, DONE never comes.
-  tx.set_peer_contact(3, 1);
-  const util::Status status =
-      tx.send_bundle(3, kBundlePort, make_payload(2048, 10),
-                     300'000LL * time_scale());
-  EXPECT_EQ(status.code(), util::StatusCode::kTimeout) << status.to_string();
-  EXPECT_EQ(tx.stats().send_failures, 1u);
+  EXPECT_EQ(tx.send(3, contact, make_payload(64, 7), timeout).code(),
+            util::StatusCode::kUnavailable);
 }
 
 // --- Negotiation through the full daemon stack ---
@@ -248,9 +258,13 @@ constexpr net::NodeId kServer = 1;
 constexpr replica::LockId kLock = 7;
 
 struct Site {
-  Site(net::NodeId node, std::uint16_t server_port, BulkBackend bulk)
+  // No `bulk`: the daemon's default (hybrid) routing.
+  Site(net::NodeId node, std::uint16_t server_port,
+       std::optional<BulkBackend> bulk = std::nullopt)
       : endpoint(node, /*udp_port=*/0),
-        daemon(endpoint, bulk),
+        daemon(bulk.has_value()
+                   ? std::make_unique<DaemonService>(endpoint, *bulk)
+                   : std::make_unique<DaemonService>(endpoint)),
         client(endpoint, kServer,
                [] {
                  LockClientOptions opts;
@@ -258,13 +272,13 @@ struct Site {
                  opts.transfer_timeout_us = 2'000'000LL * time_scale();
                  return opts;
                }(),
-               &daemon) {
+               daemon.get()) {
     endpoint.add_peer(kServer, "127.0.0.1", server_port);
-    daemon.start();
+    daemon->start();
   }
 
   Endpoint endpoint;
-  DaemonService daemon;
+  std::unique_ptr<DaemonService> daemon;
   LockClient client;
 };
 
@@ -276,26 +290,26 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   Site a(2, server_ep.udp_port(), BulkBackend::kTcp);
   Site b(3, server_ep.udp_port(), BulkBackend::kTcp);
   const util::Buffer written = make_payload(262144, 11);
-  a.daemon.register_replica(kLock, "replica", util::Buffer{});
-  b.daemon.register_replica(kLock, "replica", util::Buffer{});
+  a.daemon->register_replica(kLock, "replica", util::Buffer{});
+  b.daemon->register_replica(kLock, "replica", util::Buffer{});
 
   ASSERT_TRUE(a.client.acquire(kLock).is_ok());
-  a.daemon.write(kLock, "replica", written);
+  a.daemon->write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
 
   // B's pull announces its TCP capability first (hello-before-directive via
   // in-order delivery), so A's daemon serves the bundle over TCP bulk.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
-  EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
-  EXPECT_EQ(a.daemon.stats().bulk_fast_served, 1u);
-  EXPECT_EQ(a.daemon.stats().bulk_fallbacks, 0u);
-  EXPECT_GE(a.daemon.stats().bulk_peers_known, 1u);
-  EXPECT_EQ(a.daemon.peer_bulk_caps(3) & replica::kBulkCapTcp,
+  EXPECT_EQ(b.daemon->read(kLock, "replica"), written);
+  EXPECT_EQ(a.daemon->stats().bulk_fast_served, 1u);
+  EXPECT_EQ(a.daemon->stats().bulk_fallbacks, 0u);
+  EXPECT_GE(a.daemon->stats().bulk_peers_known, 1u);
+  EXPECT_EQ(a.daemon->peer_bulk_caps(3) & replica::kBulkCapTcp,
             replica::kBulkCapTcp);
-  EXPECT_EQ(b.daemon.bulk_transport_stats().bundles_received, 1u);
+  EXPECT_EQ(b.daemon->bulk_transport_stats().bundles_received, 1u);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
-  EXPECT_TRUE(a.daemon.drain_bulk(2'000'000LL * time_scale()));
+  EXPECT_TRUE(a.daemon->drain_bulk(2'000'000LL * time_scale()));
   server.stop();
 }
 
@@ -308,27 +322,122 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   Site a(2, server_ep.udp_port(), BulkBackend::kUdp);
   Site b(3, server_ep.udp_port(), BulkBackend::kTcp);
   const util::Buffer written = make_payload(65536, 12);
-  a.daemon.register_replica(kLock, "replica", util::Buffer{});
-  b.daemon.register_replica(kLock, "replica", util::Buffer{});
+  a.daemon->register_replica(kLock, "replica", util::Buffer{});
+  b.daemon->register_replica(kLock, "replica", util::Buffer{});
 
   ASSERT_TRUE(a.client.acquire(kLock).is_ok());
-  a.daemon.write(kLock, "replica", written);
+  a.daemon->write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
 
   // The transfer still completes — over the MochaNet data port, because A
   // has no fast backend to answer B's advertisement with.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
-  EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
-  EXPECT_EQ(a.daemon.stats().bulk_fast_served, 0u);
-  EXPECT_EQ(a.daemon.stats().transfers_served, 1u);
+  EXPECT_EQ(b.daemon->read(kLock, "replica"), written);
+  EXPECT_EQ(a.daemon->stats().bulk_fast_served, 0u);
+  EXPECT_EQ(a.daemon->stats().transfers_served, 1u);
   // A still recorded B's hello (capabilities survive for a later upgrade),
   // and B heard back that A is UDP-only.
-  EXPECT_EQ(a.daemon.peer_bulk_caps(3) & replica::kBulkCapTcp,
+  EXPECT_EQ(a.daemon->peer_bulk_caps(3) & replica::kBulkCapTcp,
             replica::kBulkCapTcp);
-  EXPECT_EQ(b.daemon.peer_bulk_caps(2), replica::kBulkCapUdp);
+  EXPECT_EQ(b.daemon->peer_bulk_caps(2), replica::kBulkCapUdp);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   server.stop();
+}
+
+// --- Hybrid routing by bundle size (the default daemon) ---
+
+TEST(HybridRouting, SmallBundlesStayOnEndpointLargeRideTcp) {
+  Endpoint server_ep(kServer, 0);
+  LockServer server(server_ep);
+  server.start();
+
+  Site a(2, server_ep.udp_port());
+  Site b(3, server_ep.udp_port());
+  ASSERT_EQ(a.daemon->bulk_backend(), BulkBackend::kHybrid);
+  constexpr replica::LockId kSmall = 7;
+  constexpr replica::LockId kLarge = 8;
+  const util::Buffer small = make_payload(4096, 13);
+  const util::Buffer large = make_payload(262144, 14);
+  for (Site* site : {&a, &b}) {
+    site->daemon->register_replica(kSmall, "replica", util::Buffer{});
+    site->daemon->register_replica(kLarge, "replica", util::Buffer{});
+  }
+  for (const auto& [lock, contents] : {std::pair{kSmall, small},
+                                       std::pair{kLarge, large}}) {
+    ASSERT_TRUE(a.client.acquire(lock).is_ok());
+    a.daemon->write(lock, "replica", contents);
+    ASSERT_TRUE(a.client.release(lock).is_ok());
+  }
+
+  // 4 KiB: below the crossover, so it leaves as endpoint fragments.
+  std::uint64_t frags = a.endpoint.fragments_sent();
+  ASSERT_TRUE(b.client.acquire(kSmall).is_ok());
+  EXPECT_EQ(a.daemon->stats().bulk_fast_served, 0u);
+  EXPECT_GE(a.endpoint.fragments_sent() - frags, 3u);
+  EXPECT_EQ(b.daemon->bulk_transport_stats().bundles_received, 0u);
+  ASSERT_TRUE(b.client.release(kSmall).is_ok());
+
+  // 256 KiB: over TCP. The endpoint carries only control messages, not
+  // the ~190 fragments the bundle would take.
+  frags = a.endpoint.fragments_sent();
+  ASSERT_TRUE(b.client.acquire(kLarge).is_ok());
+  EXPECT_EQ(a.daemon->stats().bulk_fast_served, 1u);
+  EXPECT_EQ(a.daemon->stats().bulk_fallbacks, 0u);
+  EXPECT_LE(a.endpoint.fragments_sent() - frags, 10u);
+  EXPECT_EQ(b.daemon->bulk_transport_stats().bundles_received, 1u);
+  ASSERT_TRUE(b.client.release(kLarge).is_ok());
+
+  EXPECT_EQ(a.daemon->stats().transfers_served, 2u);
+  for (const auto& [lock, contents] : {std::pair{kSmall, small},
+                                       std::pair{kLarge, large}}) {
+    EXPECT_EQ(a.daemon->read(lock, "replica"), contents);
+    EXPECT_EQ(b.daemon->read(lock, "replica"), contents);
+  }
+  server.stop();
+}
+
+TEST(HybridRouting, RefusedTcpSendIsReservedOnEndpoint) {
+  // A serves with the default hybrid daemon; B pulls by hand, advertising
+  // a TCP port nothing listens on, so A's connect is refused.
+  Pair net;
+  DaemonService a(net.a);
+  a.start();
+  DaemonService b(net.b, BulkBackend::kUdp);
+  b.start();
+  const util::Buffer written = make_payload(262144, 15);
+  a.register_replica(kLock, "replica", written);
+  a.publish(kLock, 1);
+
+  util::Buffer hello;
+  replica::BulkHelloMsg{3, replica::kBulkCapUdp | replica::kBulkCapTcp,
+                        refused_port()}
+      .encode(hello);
+  net.b.send(2, replica::kDaemonPort, std::move(hello));
+  util::Buffer directive;
+  replica::TransferReplicaMsg{kLock, 1, 3, replica::kDaemonDataPort}.encode(
+      directive);
+  net.b.send(2, replica::kDaemonPort, std::move(directive));
+  // Queued behind the directive: answered only if serving it never
+  // blocked A's loop.
+  constexpr net::Port kReplyPort = 77;
+  util::Buffer poll;
+  replica::PollVersionMsg{kLock, kReplyPort}.encode(poll);
+  net.b.send(2, replica::kDaemonPort, std::move(poll));
+
+  const std::int64_t timeout = 5'000'000LL * time_scale();
+  auto report = net.b.recv_for(kReplyPort, timeout);
+  ASSERT_TRUE(report.has_value());
+  util::WireReader reader(report->payload);
+  ASSERT_EQ(reader.u8(), replica::kVersionReport);
+  EXPECT_EQ(replica::VersionReportMsg::decode(reader).version, 1u);
+
+  ASSERT_TRUE(b.wait_for_version(kLock, 1, timeout).is_ok());
+  EXPECT_EQ(b.read(kLock, "replica"), written);
+  EXPECT_EQ(a.stats().transfers_served, 1u);
+  EXPECT_EQ(a.stats().bulk_fallbacks, 1u);
+  EXPECT_EQ(a.stats().bulk_fast_served, 0u);
+  EXPECT_EQ(a.bulk_transport_stats().send_failures, 1u);
 }
 
 // --- Multi-process A/B: forked mocha_live per backend ---
@@ -374,15 +483,22 @@ long long bench_metric(const std::string& json, const std::string& key) {
 }
 
 TEST(BulkForked, ABBackendsLeaveByteIdenticalReplicas) {
-  for (const std::string backend : {"udp", "tcp"}) {
+  // "" runs without --bulk-backend: the hybrid default.
+  for (const std::string backend : {"udp", "tcp", ""}) {
     char tmpl[] = "/tmp/mocha_live_bulk_XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
     const std::string dir = tmpl;
     const std::string ready = dir + "/ready";
 
-    const pid_t server =
-        spawn({MOCHA_LIVE_BIN, "--server", "--port", "0", "--ready-file",
-               ready, "--bulk-backend", backend, "--quiet"});
+    std::vector<std::string> backend_args;
+    if (!backend.empty()) backend_args = {"--bulk-backend", backend};
+    std::vector<std::string> server_args = {MOCHA_LIVE_BIN, "--server",
+                                            "--port",       "0",
+                                            "--ready-file", ready,
+                                            "--quiet"};
+    server_args.insert(server_args.end(), backend_args.begin(),
+                       backend_args.end());
+    const pid_t server = spawn(server_args);
     std::string port;
     for (int i = 0; i < 100 && port.empty(); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -405,9 +521,9 @@ TEST(BulkForked, ABBackendsLeaveByteIdenticalReplicas) {
           "--rounds",            "8",
           "--replica-bytes",     "1024,262144",
           "--replica-barrier",   "2",
-          "--bulk-backend",      backend,
           "--replica-dump-file", dumps.back(),
           "--quiet"};
+      args.insert(args.end(), backend_args.begin(), backend_args.end());
       if (i == 0) {
         args.push_back("--bench-json-dir");
         args.push_back(dir);
@@ -431,16 +547,21 @@ TEST(BulkForked, ABBackendsLeaveByteIdenticalReplicas) {
         << backend << ": replica contents diverged between sites";
     EXPECT_NE(dump_a.find("262144 "), std::string::npos);
 
-    // The backends must not just both "work" — the tcp run must actually
-    // ride the fast path (negotiated, served, zero fallbacks), while the
+    // The backends must not just all "work": the tcp run must actually ride
+    // the fast path, the hybrid run only for the 256 KiB bundles, and the
     // udp control run must never touch it.
     const std::string bench = slurp(dir + "/BENCH_bulk_ab.json");
     ASSERT_FALSE(bench.empty()) << backend << ": bench JSON not written";
     const long long fast = bench_metric(bench, "bulk_fast_served");
-    if (backend == "tcp") {
-      EXPECT_GT(fast, 0) << backend << ": fast path never served a pull";
-    } else {
+    if (backend == "udp") {
       EXPECT_EQ(fast, 0) << backend << ": udp run used a fast backend";
+    } else {
+      EXPECT_GT(fast, 0) << backend << ": fast path never served a pull";
+    }
+    if (backend.empty()) {
+      EXPECT_EQ(bench_metric(bench, "tcp_pulls_1024"), 0);
+      EXPECT_EQ(bench_metric(bench, "tcp_pulls_262144"),
+                bench_metric(bench, "pulls_262144"));
     }
   }
 }

@@ -9,7 +9,8 @@
 // The multi-process test forks the mocha_live CLI (MOCHA_LIVE_BIN) as one
 // server and two --replica-bytes clients ping-ponging an exclusive lock at
 // 1 KiB and 256 KiB, then asserts both replica dumps are byte-identical —
-// the paper's §3 entry-consistency claim, end to end over real sockets.
+// the paper's §3 entry-consistency claim, end to end over real sockets. It
+// runs once with the default (hybrid) bulk path and once with pure UDP.
 //
 // All waits scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes set it).
 #include <gtest/gtest.h>
@@ -311,7 +312,9 @@ long long json_int(const std::string& json, const std::string& key) {
   return std::stoll(json.substr(colon + 1));
 }
 
-TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
+// One forked ping-pong run; `backend_args` picks the bulk backend (empty:
+// the hybrid default).
+void forked_ping_pong(const std::vector<std::string>& backend_args) {
   constexpr long long kRounds = 20;
 
   char tmpl[] = "/tmp/mocha_live_transfer_XXXXXX";
@@ -320,9 +323,12 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
   const std::string ready = dir + "/ready";
   const std::string stats = dir + "/stats.json";
 
-  const pid_t server = spawn({MOCHA_LIVE_BIN, "--server", "--port", "0",
-                              "--ready-file", ready, "--stats-file", stats,
-                              "--quiet"});
+  std::vector<std::string> server_args = {
+      MOCHA_LIVE_BIN, "--server", "--port",     "0",    "--ready-file",
+      ready,          "--stats-file", stats, "--quiet"};
+  server_args.insert(server_args.end(), backend_args.begin(),
+                     backend_args.end());
+  const pid_t server = spawn(server_args);
   std::string port;
   for (int i = 0; i < 100 && port.empty(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -349,6 +355,7 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
         "--replica-barrier",   "2",
         "--replica-dump-file", dumps.back(),
         "--quiet"};
+    args.insert(args.end(), backend_args.begin(), backend_args.end());
     if (i == 0) {
       args.push_back("--bench-json-dir");
       args.push_back(dir);
@@ -382,6 +389,20 @@ TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
   EXPECT_NE(bench.find("\"p99_acquire_262144\""), std::string::npos);
   EXPECT_NE(bench.find("\"transfers_pulled\""), std::string::npos);
   EXPECT_GT(json_int(bench, "value"), 0);  // first metric (p50, us)
+}
+
+// The hybrid default moves the 256 KiB bundles over TCP; the udp run keeps
+// a 190-fragment bundle on the endpoint, so the injected-loss lanes still
+// exercise its NACK repair.
+TEST(LiveTransfer, ForkedPingPongLeavesByteIdenticalReplicas) {
+  {
+    SCOPED_TRACE("default bulk backend");
+    forked_ping_pong({});
+  }
+  {
+    SCOPED_TRACE("--bulk-backend udp");
+    forked_ping_pong({"--bulk-backend", "udp"});
+  }
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 //   - an Endpoint's port handler runs on its loop thread, even with
 //     userspace netem delay on the receive path, takes over messages
 //     queued before it and sees none after it is unregistered;
-//   - a serving shard (endpoint, lock server, UDP daemon) is one thread.
+//   - a serving shard (endpoint, lock server, daemon) is one thread, and a
+//     256 KiB pull over the hybrid daemons' TCP channel starts no thread.
 //
 // All wall-clock margins scale with MOCHA_TEST_TIME_SCALE (sanitizer lanes
 // set it).
@@ -22,6 +23,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -341,7 +343,7 @@ std::size_t thread_count() {
 }
 
 TEST(Reactor, ServingShardRunsOnOneThread) {
-  // Endpoint + LockServer + UDP-backend DaemonService: the endpoint's loop
+  // Endpoint + LockServer + (hybrid) DaemonService: the endpoint's loop
   // thread is the only one, and it is gone again after teardown. A
   // sanitizer runtime may start a helper thread at the first thread
   // creation, so one throwaway thread runs before the count.
@@ -356,6 +358,56 @@ TEST(Reactor, ServingShardRunsOnOneThread) {
     EXPECT_EQ(thread_count(), before + 1);
     daemon.stop();
     server.stop();
+  }
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(Reactor, HybridTcpPullRunsOnTheEndpointLoops) {
+  // Two endpoints with default daemons; B pulls A's 256 KiB replica, which
+  // crosses the hybrid threshold and so goes over TCP. The TCP channel lives
+  // on each endpoint's loop: one thread per endpoint, before, during and
+  // after the transfer (no extra threads, no extra malloc arenas).
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  {
+    Endpoint a_ep(/*node=*/2, /*udp_port=*/0);
+    Endpoint b_ep(/*node=*/3, /*udp_port=*/0);
+    a_ep.add_peer(3, "127.0.0.1", b_ep.udp_port());
+    b_ep.add_peer(2, "127.0.0.1", a_ep.udp_port());
+    DaemonService a(a_ep);
+    DaemonService b(b_ep);
+    a.start();
+    b.start();
+    constexpr replica::LockId kLock = 9;
+    util::Buffer replica(262144);
+    for (std::size_t i = 0; i < replica.size(); ++i) {
+      replica[i] = static_cast<std::uint8_t>(i * 7);
+    }
+    a.register_replica(kLock, "replica", replica);
+    a.publish(kLock, 1);
+    EXPECT_EQ(thread_count(), before + 2);
+
+    b.announce_bulk(2);
+    util::Buffer directive;
+    replica::TransferReplicaMsg{kLock, 1, 3, replica::kDaemonDataPort}.encode(
+        directive);
+    b_ep.send(2, replica::kDaemonPort, std::move(directive));
+    // Sample the thread count while the bundle is in flight.
+    const std::int64_t deadline =
+        Clock::monotonic().now_us() + scaled(5'000'000);
+    std::size_t most = thread_count();
+    while (b.local_version(kLock) < 1 &&
+           Clock::monotonic().now_us() < deadline) {
+      most = std::max(most, thread_count());
+    }
+    EXPECT_EQ(most, before + 2);
+    ASSERT_EQ(b.local_version(kLock), 1u);
+    EXPECT_EQ(b.read(kLock, "replica"), replica);
+    EXPECT_EQ(a.stats().bulk_fast_served, 1u);
+    EXPECT_EQ(b.bulk_transport_stats().bundles_received, 1u);
+    EXPECT_EQ(thread_count(), before + 2);
+    b.stop();
+    a.stop();
   }
   EXPECT_EQ(thread_count(), before);
 }

@@ -75,11 +75,12 @@
 //   p50/p99 acquire-with-transfer latency per size.
 //
 // Bulk transport (server and client, PROTOCOL.md §10): --bulk-backend
-// {udp,tcp,batched-udp} selects how daemon→daemon replica bundles move
-// (control messages always stay on MochaNet UDP). When the flag is absent,
-// MOCHA_BULK_BACKEND in the environment applies; default udp. Non-UDP
-// deployments negotiate per peer via BULK-HELLO and fall back to udp against
-// peers that never advertised the capability, so mixed fleets interoperate.
+// {udp,tcp,hybrid} selects how daemon→daemon replica bundles move (control
+// messages always stay on MochaNet UDP). When the flag is absent,
+// MOCHA_BULK_BACKEND in the environment applies; default hybrid: bundles of
+// 64 KiB and up over TCP, smaller ones over UDP. tcp and hybrid negotiate per
+// peer via BULK-HELLO and fall back to udp against peers that never
+// advertised TCP, so mixed fleets interoperate.
 //
 // WAN emulation (server and client, applied in the endpoint's own recv path,
 // no root/tc needed): --loss-pct P drops P% of inbound datagrams,
@@ -130,7 +131,6 @@
 #include "live/lock_server.h"
 #include "live/shard_map.h"
 #include "live/telemetry.h"
-#include "live/transport_backend.h"
 #include "replica/wire.h"
 #include "util/metrics.h"
 
@@ -210,7 +210,7 @@ struct Args {
   std::string replica_bytes;  // comma-separated sizes; empty = off
   std::string replica_dump_file;
   int replica_barrier = 0;  // clients to rendezvous before the final sync
-  // Bulk transport selection (empty = MOCHA_BULK_BACKEND env, else udp)
+  // Bulk transport selection (empty = MOCHA_BULK_BACKEND env, else hybrid)
   std::string bulk_backend;
   // WAN emulation + transport A/B knobs
   double loss_pct = 0.0;
@@ -265,12 +265,13 @@ mocha::live::EndpointOptions make_endpoint_options(const Args& args,
 }
 
 // Bulk-backend selection: explicit flag wins, MOCHA_BULK_BACKEND next,
-// MochaNet UDP otherwise (parse_args already rejected bad flag values).
+// hybrid otherwise (parse_args already rejected bad flag values).
 mocha::live::BulkBackend resolve_bulk_backend(const Args& args) {
   if (!args.bulk_backend.empty()) {
     return *mocha::live::parse_bulk_backend(args.bulk_backend);
   }
-  return mocha::live::bulk_backend_from_env(mocha::live::BulkBackend::kUdp);
+  return mocha::live::bulk_backend_from_env(
+      mocha::live::BulkBackend::kHybrid);
 }
 
 int usage(const char* argv0) {
@@ -297,7 +298,7 @@ int usage(const char* argv0) {
                "Telemetry (server and client):\n"
                "          [--stats-port P] [--stats-json F] [--flight-json F]\n"
                "WAN emulation / transport (server and client):\n"
-               "          [--bulk-backend udp|tcp|batched-udp]\n"
+               "          [--bulk-backend udp|tcp|hybrid]\n"
                "          [--loss-pct P] [--delay-us N] [--bw-kbps B]"
                " [--fixed-rto] [--rto-us N] [--ack-delay-us N]\n",
                argv0, argv0, argv0, argv0);
@@ -404,7 +405,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = value();
       if (!v || !mocha::live::parse_bulk_backend(v).has_value()) {
         std::fprintf(stderr,
-                     "--bulk-backend: want udp, tcp, or batched-udp\n");
+                     "--bulk-backend: want udp, tcp, or hybrid\n");
         return false;
       }
       args.bulk_backend = v;
@@ -1066,11 +1067,18 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
 
   std::vector<std::vector<std::int64_t>> latencies(sizes.size());
   for (auto& lat : latencies) lat.reserve(args.rounds);
+  // Per size: bundles this client pulled, and how many of them came over
+  // TCP (the hybrid sweep checks the routing rule with these).
+  std::vector<std::uint64_t> pulls(sizes.size(), 0);
+  std::vector<std::uint64_t> tcp_pulls(sizes.size(), 0);
 
   for (std::uint64_t round = 0; round < args.rounds && !g_stop; ++round) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       const mocha::replica::LockId lock_id =
           args.lock + static_cast<std::uint32_t>(i);
+      const std::uint64_t pulled_before = client.transfers_pulled();
+      const std::uint64_t tcp_before =
+          daemon.bulk_transport_stats().bundles_received;
       const std::int64_t t0 = mocha::live::Clock::monotonic().now_us();
       mocha::util::Status acquired = client.acquire(lock_id);
       if (!acquired.is_ok()) {
@@ -1081,6 +1089,9 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
         return 1;
       }
       latencies[i].push_back(mocha::live::Clock::monotonic().now_us() - t0);
+      pulls[i] += client.transfers_pulled() - pulled_before;
+      tcp_pulls[i] +=
+          daemon.bulk_transport_stats().bundles_received - tcp_before;
       daemon.write(lock_id, "replica",
                    make_pattern(sizes[i], args.site, round + 1));
       if (args.hold_us > 0) {
@@ -1179,6 +1190,10 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
     metrics.push_back({"p50_acquire_" + suffix, p50, "us"});
     metrics.push_back({"p99_acquire_" + suffix, p99, "us"});
     metrics.push_back({"mean_acquire_" + suffix, mean, "us"});
+    metrics.push_back(
+        {"pulls_" + suffix, static_cast<double>(pulls[i]), "count"});
+    metrics.push_back(
+        {"tcp_pulls_" + suffix, static_cast<double>(tcp_pulls[i]), "count"});
   }
   metrics.push_back({"transfers_pulled",
                      static_cast<double>(client.transfers_pulled()), "count"});

@@ -130,7 +130,9 @@ PORT=$(wait_ready "$OUT/ready_wan")
 stop_server "$SERVER"
 
 # --- 2. Replica-transfer bench (BENCH_live_transfer.json) ---
-DELAY_FLAGS=(--delay-us 20000)
+# Pinned to the UDP bulk arm: the delay is emulated inside the endpoint, which
+# the hybrid default's TCP leg for 256 KiB bundles would bypass.
+DELAY_FLAGS=(--delay-us 20000 --bulk-backend udp)
 "$BIN" --server --port 0 --ready-file "$OUT/ready_transfer" \
   --stats-file "$OUT/transfer_server_stats.json" --quiet "${DELAY_FLAGS[@]}" &
 SERVER=$!
@@ -223,10 +225,13 @@ PY
 
 # --- 4. Hybrid bulk-transport sweep (BENCH_live_hybrid.json) ---
 # Basic-vs-hybrid crossover (paper §4.3, reproduced live): the same
-# two-client replica ping-pong run twice over raw loopback — once with the
-# default MochaNet-UDP bulk path, once with the TCP bulk backend — across
-# bundle sizes 1 KiB … 1 MiB. The merged JSON pins udp/tcp p50+p99 per
-# size, the crossover size and the 1 MiB tcp/udp ratios. The crossover is
+# two-client replica ping-pong run over raw loopback with the two pure bulk
+# arms — every bundle on the MochaNet-UDP endpoint, every bundle over TCP —
+# across bundle sizes 1 KiB … 1 MiB. The merged JSON pins udp/tcp p50+p99
+# per size, the crossover size and the 1 MiB tcp/udp ratios. A third run
+# with the hybrid default checks its routing rule instead of adding
+# metrics: bundles below the 64 KiB crossover stay on UDP, bundles above it
+# all ride TCP. The crossover is
 # defined on p99, not p50: the cost the TCP lane removes is the userspace
 # retransmit storm on multi-hundred-fragment bundles, which lives in the
 # tail — per-run p50s at 1 MiB are scheduler noise on busy runners and
@@ -236,7 +241,7 @@ HYBRID_SIZES=1024,8192,65536,262144,1048576
 # 30 rounds: the gated numbers are per-size p50s over one client's samples,
 # and 16-round medians proved noisy enough to wobble the crossover bucket.
 HYBRID_ROUNDS=30
-for BE in udp tcp; do
+for BE in udp tcp hybrid; do
   "$BIN" --server --port 0 --ready-file "$OUT/ready_hybrid_$BE" \
     --bulk-backend "$BE" --quiet &
   SERVER=$!
@@ -263,7 +268,7 @@ out = sys.argv[1]
 
 SIZES = [1024, 8192, 65536, 262144, 1048576]
 runs = {}
-for be in ("udp", "tcp"):
+for be in ("udp", "tcp", "hybrid"):
     with open(f"{out}/BENCH_live_hybrid_{be}.json") as f:
         doc = json.load(f)
     runs[be] = {m["name"]: m["value"] for m in doc["metrics"]}
@@ -274,6 +279,18 @@ if runs["tcp"].get("bulk_fast_served", 0) <= 0:
     sys.exit("hybrid sweep: tcp run never hit the fast bulk path")
 if runs["udp"].get("bulk_fast_served", 0) != 0:
     sys.exit("hybrid sweep: udp run unexpectedly used a fast bulk backend")
+# The hybrid run's routing rule, per size from the measuring client's pulls:
+# none over TCP below the crossover, every one over TCP well above it.
+hybrid = runs["hybrid"]
+for size in (1024, 8192):
+    if hybrid[f"tcp_pulls_{size}"] != 0:
+        sys.exit(f"hybrid sweep: {size} B bundles rode TCP "
+                 f"({hybrid[f'tcp_pulls_{size}']:.0f} pulls)")
+for size in (262144, 1048576):
+    pulls, tcp = hybrid[f"pulls_{size}"], hybrid[f"tcp_pulls_{size}"]
+    if pulls <= 0 or tcp != pulls:
+        sys.exit(f"hybrid sweep: {size} B bundles: {tcp:.0f} of "
+                 f"{pulls:.0f} pulls rode TCP")
 
 metrics = []
 for size in SIZES:
