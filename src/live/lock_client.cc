@@ -195,9 +195,7 @@ util::Status LockClient::acquire(replica::LockId lock_id, LockWireMode mode,
   msg.site = endpoint_.node();
   msg.grant_port = lk.grant_port;
   msg.data_port = lk.data_port;
-  msg.expected_hold_us = static_cast<std::uint64_t>(
-      expected_hold_us != 0 ? expected_hold_us
-                            : opts_.default_expected_hold_us);
+  msg.expected_hold_us = static_cast<std::uint64_t>(expected_hold_us);
   msg.mode = mode;
   msg.nonce = nonce;
   util::Buffer request;

@@ -41,7 +41,6 @@ namespace mocha::live {
 
 struct LockClientOptions {
   std::int64_t grant_timeout_us = 10'000'000;
-  std::int64_t default_expected_hold_us = 500'000;
   // Wait for a promised replica transfer before retrying / failing. Applied
   // per attempt (direct pull, then home-daemon retry).
   std::int64_t transfer_timeout_us = 2'000'000;
@@ -82,7 +81,7 @@ class LockClient {
   // Acquires `lock_id`; blocks until the GRANT arrives and — for
   // NEED_NEW_VERSION with an attached daemon — the replica transfer has
   // been applied. `expected_hold_us` feeds the server's lease-based failure
-  // detector; 0 uses the default.
+  // detector; 0 uses replica::kDefaultExpectedHoldUs.
   // Errors: kRejected (this site was blacklisted after a broken lock),
   // kTimeout (no grant within grant_timeout, or the promised transfer never
   // arrived after the home-daemon retry).

@@ -1,16 +1,13 @@
 #include "live/lock_server.h"
 
-#include <algorithm>
-
 #include "util/log.h"
 
 namespace mocha::live {
 
-using replica::GrantFlag;
-using replica::LockWireMode;
+using replica::LockHold;
 
 LockServer::LockServer(Endpoint& endpoint, LockServerOptions opts)
-    : endpoint_(endpoint), opts_(opts) {
+    : endpoint_(endpoint), opts_(opts), dir_(*this, {opts.lease_grace_us}) {
   const std::string prefix = "shard." + std::to_string(opts_.shard_id) + ".";
   MetricsRegistry& registry = MetricsRegistry::global();
   tm_acquires_ = registry.counter(prefix + "acquires");
@@ -52,11 +49,9 @@ void LockServer::stop() {
   // reach this server once stop() is done.
   endpoint_.run_on_loop([this] {
     endpoint_.set_port_handler(replica::kSyncPort, nullptr);
-    for (const auto& [id, lock] : locks_) {
-      for (const Request& req : lock.active) {
-        endpoint_.reactor().cancel(req.lease_timer);
-      }
-    }
+    dir_.for_each_active([this](const LockHold& hold) {
+      endpoint_.reactor().cancel(hold.lease);
+    });
   });
 }
 
@@ -72,37 +67,29 @@ LockServer::Stats LockServer::stats() const {
 
 bool LockServer::is_blacklisted(std::uint32_t site) const {
   util::MutexLock lock(mu_);
-  const auto it = blacklist_.find(site);
-  return it != blacklist_.end() && Clock::monotonic().now_us() < it->second;
+  return blacklist_.contains(site);
 }
 
-void LockServer::publish_gauges() {
-  tm_queue_depth_->set(static_cast<std::int64_t>(queued_waiters_));
-  tm_active_leases_->set(static_cast<std::int64_t>(active_leases_));
+void LockServer::publish_stats() {
+  tm_queue_depth_->set(static_cast<std::int64_t>(dir_.queued_waiters()));
+  tm_active_leases_->set(static_cast<std::int64_t>(dir_.active_holds()));
   util::MutexLock guard(mu_);
-  stats_.queued_waiters = queued_waiters_;
-  stats_.active_leases = active_leases_;
+  stats_.grants = dir_.grants();
+  stats_.releases = dir_.releases();
+  stats_.locks_broken = dir_.locks_broken();
+  stats_.registrations = dir_.registrations();
+  stats_.queued_waiters = dir_.queued_waiters();
+  stats_.active_leases = dir_.active_holds();
 }
 
 void LockServer::handle(Endpoint::Message msg) {
+  if (dir_.handle(Clock::monotonic().now_us(), msg.payload)) {
+    publish_stats();
+    return;
+  }
   try {
     util::WireReader reader(msg.payload);
     switch (reader.u8()) {
-      case replica::kAcquireLock:
-        handle_acquire(reader);
-        break;
-      case replica::kReleaseLock:
-        handle_release(reader);
-        break;
-      case replica::kRegisterLock: {
-        const auto reg = replica::RegisterLockMsg::decode(reader);
-        LockState& lock = locks_[reg.lock_id];
-        lock.id = reg.lock_id;
-        lock.holders.insert(reg.site);
-        util::MutexLock guard(mu_);
-        ++stats_.registrations;
-        break;
-      }
       case replica::kResolveNode: {
         // Peer discovery for direct daemon→daemon pulls: this endpoint has
         // heard from every client (their acquires arrive here), so its peer
@@ -164,194 +151,63 @@ void LockServer::handle_stats_request(net::NodeId src,
   endpoint_.send(src, request.reply_port, std::move(reply));
 }
 
-void LockServer::handle_acquire(util::WireReader& reader) {
-  const auto msg = replica::AcquireLockMsg::decode(reader);
-  Request req;
-  req.lock_id = msg.lock_id;
-  req.site = msg.site;
-  req.grant_port = msg.grant_port;
-  req.data_port = msg.data_port;
-  req.expected_hold_us = msg.expected_hold_us != 0
-                             ? msg.expected_hold_us
-                             : static_cast<std::uint64_t>(
-                                   opts_.default_expected_hold_us);
-  req.mode = msg.mode;
-  req.nonce = msg.nonce;
-  req.enqueued_at_us = Clock::monotonic().now_us();
-  tm_acquires_->add();
-  FlightRecorder::record(trace::EventKind::kLockRequested, endpoint_.node(),
-                         req.site, req.lock_id, 0, req.nonce);
+// --- replica::LockDirectorySink ---
 
-  if (is_blacklisted(req.site)) {
-    // §4: a thread whose lock was broken is prevented from future requests.
-    send_grant(req, 0, GrantFlag::kRejected, {});
-    return;
-  }
-
-  LockState& lock = locks_[req.lock_id];
-  lock.id = req.lock_id;
-  lock.holders.insert(req.site);
-  lock.waiting.push_back(req);
-  ++queued_waiters_;
-  grant_from_queue(lock);
-  publish_gauges();
-}
-
-void LockServer::grant_from_queue(LockState& lock) {
-  // Strict FIFO with shared batching — same policy as the sim SyncService:
-  // the head is granted; while it is shared, the consecutive run of shared
-  // requests behind it joins, so a waiting writer blocks later readers.
-  while (!lock.waiting.empty()) {
-    const Request& head = lock.waiting.front();
-    if (head.mode == LockWireMode::kExclusive) {
-      if (!lock.active.empty()) return;
-      Request req = head;
-      lock.waiting.pop_front();
-      --queued_waiters_;
-      activate(lock, std::move(req));
-      return;
-    }
-    if (lock.has_active_exclusive()) return;
-    Request req = head;
-    lock.waiting.pop_front();
-    --queued_waiters_;
-    activate(lock, std::move(req));
-    // continue: grant the consecutive shared run
-  }
-}
-
-void LockServer::activate(LockState& lock, Request req) {
-  // §4 failure detection as a continuation: one reactor timer per active
-  // hold replaces the old periodic lease scan. The timer is cancelled on
-  // release; (site, nonce) re-checked at expiry for the cancel/fire race.
-  const std::int64_t now_us = Clock::monotonic().now_us();
-  req.granted_at_us = now_us;
-  tm_wait_us_->record(now_us - req.enqueued_at_us);
-  tm_grants_->add();
-  FlightRecorder::record(trace::EventKind::kLockGranted, endpoint_.node(),
-                         req.site, req.lock_id, lock.version, req.nonce);
-  const std::int64_t lease_deadline_us =
-      now_us + static_cast<std::int64_t>(req.expected_hold_us) +
-      opts_.lease_grace_us;
-  req.lease_timer = endpoint_.reactor().call_at(
-      lease_deadline_us,
-      [this, lock_id = req.lock_id, site = req.site, nonce = req.nonce] {
-        on_lease_expired(lock_id, site, nonce);
-      });
-
-  // Version 0 = no release yet, every holder still has initial contents.
-  // Otherwise the up-to-date set decides whether the requester's copy is
-  // current — with UR=1 this degenerates to the paper's lastLockOwner check,
-  // and a current requester skips the transfer entirely. A NEED_NEW_VERSION
-  // grant names the last owner as transfer_from; the client pulls the
-  // replica bundle from that site's daemon.
-  const bool current =
-      lock.version == 0 || lock.up_to_date.contains(req.site);
-  send_grant(req, lock.version,
-             current ? GrantFlag::kVersionOk : GrantFlag::kNeedNewVersion,
-             lock.holders, current ? 0 : lock.last_owner.value_or(0));
-  lock.active.push_back(std::move(req));
-  ++active_leases_;
-  util::MutexLock guard(mu_);
-  ++stats_.grants;
-}
-
-void LockServer::send_grant(const Request& req, replica::Version version,
-                            GrantFlag flag,
-                            const std::set<std::uint32_t>& holders,
-                            std::uint32_t transfer_from) {
-  replica::GrantMsg grant;
-  grant.lock_id = req.lock_id;
-  grant.nonce = req.nonce;
-  grant.version = version;
-  grant.flag = flag;
-  grant.transfer_from = transfer_from;
-  grant.holders.assign(holders.begin(), holders.end());
+void LockServer::send_grant(const LockHold& hold,
+                            const replica::GrantMsg& grant) {
   util::Buffer msg;
   grant.encode(msg);
-  endpoint_.send(req.site, req.grant_port, std::move(msg));
+  endpoint_.send(hold.site, hold.grant_port, std::move(msg));
 }
 
-void LockServer::handle_release(util::WireReader& reader) {
-  const auto msg = replica::ReleaseLockMsg::decode(reader);
-  auto it = locks_.find(msg.lock_id);
-  if (it == locks_.end()) return;
-  LockState& lock = it->second;
-
-  auto active_it = std::find_if(
-      lock.active.begin(), lock.active.end(),
-      [&](const Request& r) { return r.site == msg.site; });
-  if (active_it != lock.active.end()) {
-    endpoint_.reactor().cancel(active_it->lease_timer);
-    tm_hold_us_->record(Clock::monotonic().now_us() -
-                        active_it->granted_at_us);
-    FlightRecorder::record(trace::EventKind::kLockReleased, endpoint_.node(),
-                           msg.site, msg.lock_id, msg.new_version,
-                           active_it->nonce);
-    lock.active.erase(active_it);
-    --active_leases_;
-  } else {
-    if (!lock.active.empty() || is_blacklisted(msg.site)) {
-      // Stale release — e.g. from an owner whose lock was already broken.
-      return;
-    }
-  }
-
-  if (msg.mode == LockWireMode::kExclusive) {
-    lock.version = msg.new_version;
-    lock.last_owner = msg.site;
-    lock.up_to_date.clear();
-    lock.up_to_date.insert(msg.up_to_date.begin(), msg.up_to_date.end());
-  } else {
-    // A reader received (or already had) the current version.
-    lock.up_to_date.insert(msg.site);
-  }
-  tm_releases_->add();
-  {
-    util::MutexLock guard(mu_);
-    ++stats_.releases;
-  }
-  grant_from_queue(lock);
-  publish_gauges();
-}
-
-void LockServer::on_lease_expired(replica::LockId lock_id, std::uint32_t site,
-                                  std::uint64_t nonce) {
-  auto it = locks_.find(lock_id);
-  if (it == locks_.end()) return;
-  LockState& lock = it->second;
-  auto active_it = std::find_if(
-      lock.active.begin(), lock.active.end(), [&](const Request& r) {
-        return r.site == site && r.nonce == nonce;
+std::uint64_t LockServer::arm_lease(const LockHold& hold) {
+  // §4 failure detection as a continuation: one reactor timer per active
+  // hold, cancelled at release, replaces a periodic lease scan. The core
+  // re-checks (site, nonce) when it fires.
+  return endpoint_.reactor().call_at(
+      hold.lease_deadline_us,
+      [this, lock_id = hold.lock_id, site = hold.site, nonce = hold.nonce] {
+        dir_.lease_expired(Clock::monotonic().now_us(), lock_id, site, nonce);
+        publish_stats();
       });
-  if (active_it == lock.active.end()) return;  // released before we fired
-
-  // §4, failure of a lock-owning thread. The sim service confirms with a
-  // daemon heartbeat first; the live runtime has no heartbeat path yet, so
-  // an expired lease breaks the lock directly.
-  lock.active.erase(active_it);
-  --active_leases_;
-  lock.holders.erase(site);
-  lock.up_to_date.erase(site);
-  blacklist_site(site);
-  tm_lease_breaks_->add();
-  FlightRecorder::record(trace::EventKind::kLockBroken, endpoint_.node(),
-                         site, lock_id, 0, nonce);
-  {
-    util::MutexLock guard(mu_);
-    ++stats_.locks_broken;
-  }
-  MOCHA_INFO("live") << "lock " << lock_id << " broken: site " << site
-                     << " exceeded its lease; site blacklisted";
-  grant_from_queue(lock);
-  publish_gauges();
 }
 
-void LockServer::blacklist_site(std::uint32_t site) {
-  util::MutexLock guard(mu_);
-  blacklist_[site] = opts_.blacklist_ttl_us > 0
-                         ? Clock::monotonic().now_us() + opts_.blacklist_ttl_us
-                         : INT64_MAX;
+void LockServer::cancel_lease(const LockHold& hold) {
+  endpoint_.reactor().cancel(hold.lease);
+}
+
+void LockServer::confirm_owner(const LockHold& hold) {
+  dir_.owner_confirmed(Clock::monotonic().now_us(), hold.lock_id, hold.site,
+                       hold.nonce, /*alive=*/false);
+}
+
+void LockServer::trace(const replica::LockEvent& event) {
+  switch (event.kind) {
+    case trace::EventKind::kLockRequested:
+      tm_acquires_->add();
+      break;
+    case trace::EventKind::kLockGranted:
+      tm_grants_->add();
+      tm_wait_us_->record(event.span_us);
+      break;
+    case trace::EventKind::kLockReleased:
+      tm_releases_->add();
+      if (event.span_us >= 0) tm_hold_us_->record(event.span_us);
+      break;
+    case trace::EventKind::kLockBroken: {
+      util::MutexLock guard(mu_);
+      blacklist_.insert(event.site);
+      tm_lease_breaks_->add();
+      MOCHA_INFO("live") << "lock " << event.lock_id << " broken: site "
+                         << event.site
+                         << " exceeded its lease; site blacklisted";
+      break;
+    }
+    default:
+      break;
+  }
+  FlightRecorder::record(event.kind, endpoint_.node(), event.site,
+                         event.lock_id, event.version, event.nonce);
 }
 
 }  // namespace mocha::live

@@ -1,50 +1,36 @@
 // live::LockServer — one shard of the lock directory, driven by its
 // endpoint's event loop.
 //
-// The wall-clock twin of replica::SyncService, reduced to the lock core:
-// strict-FIFO grant queue with shared-mode batching, version numbers, the
-// up-to-date replica set, lock leases, and the §4 blacklist. It speaks the
-// exact kAcquireLock / kReleaseLock / kRegisterLock / kGrant messages from
-// replica/wire.h on logical port replica::kSyncPort.
-//
-// Event-loop architecture: the server starts no thread. start() registers a
-// sync-port handler (Endpoint::set_port_handler), so every message is
-// handled on the endpoint's loop thread, the one that received it; every
-// lease is a timer on that loop, armed at activation and cancelled at
-// release (no scanning); blacklist entries expire lazily. That one thread
-// drives every waiter as continuation state in the grant queue: no
-// per-client thread or condvar, and no cross-thread wakeup per grant.
+// The live adapter around replica::LockDirectory, the lock directory the
+// simulated SyncService runs too. It starts no thread: start() registers a
+// sync-port handler, so every message is handled on the endpoint's loop
+// thread, and every lease the core arms is a timer on that loop, cancelled
+// at release. No per-client thread or condvar, no cross-thread wakeup per
+// grant.
 //
 // Sharding (docs/PROTOCOL.md §9): a deployment runs N LockServers, each on
 // its own endpoint, each owning the lock ids its ShardMap assigns it. The
 // server answers kShardMapRequest with the full map so clients can route;
 // with no map configured it serves everything (single-shard, wire-
-// compatible with pre-shard clients).
+// compatible with pre-shard clients). It also answers kResolveNode address
+// queries, so two clients that never exchanged a datagram find each other.
 //
-// NEED_NEW_VERSION grants name the last owner (GrantMsg.transfer_from); the
-// requesting client pulls the replica bundle from that site's daemon
-// directly (live::DaemonService), with the server additionally answering
-// kResolveNode address queries so two clients that have never exchanged a
-// datagram can find each other. Registered holders per lock are tracked as
-// groundwork for UR push.
-//
-// Not yet carried over from the sim service (see docs/PROTOCOL.md §8):
-// sync-directed transfers with poll-and-redirect on daemon failure, and the
-// heartbeat confirm before a lease break — an expired lease breaks the lock
-// directly.
+// The §4 steps done here: an expired lease is confirmed "dead" at once (no
+// heartbeat yet), so the core breaks the lock and blacklists the owner for
+// good. "Transfer needed" is ignored: a NEED_NEW_VERSION grant names the
+// last owner (GrantMsg.transfer_from), and the client pulls the bundle from
+// that site's daemon (live::DaemonService). Not yet live (docs/PROTOCOL.md
+// §8): poll-and-redirect, the heartbeat, and the durable-record log.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <optional>
 #include <set>
-#include <vector>
 
 #include "live/endpoint.h"
 #include "live/reactor.h"
 #include "live/shard_map.h"
+#include "replica/lock_directory.h"
 #include "replica/wire.h"
 #include "util/analysis_annotations.h"
 #include "util/mutex.h"
@@ -53,11 +39,7 @@
 namespace mocha::live {
 
 struct LockServerOptions {
-  std::int64_t default_expected_hold_us = 500'000;
   std::int64_t lease_grace_us = 300'000;
-  // §4 keeps a broken-lock site blacklisted forever; a positive TTL lets
-  // the entry lapse after that long (operational escape hatch).
-  std::int64_t blacklist_ttl_us = 0;
   // Shard id reported in stats and logs (the ShardMap decides routing).
   std::uint32_t shard_id = 0;
 };
@@ -66,7 +48,7 @@ struct LockServerOptions {
 // capture `this` because teardown is ordered — ~LockServer calls stop(),
 // which unregisters the handler and cancels every lease timer on the loop
 // thread before any member is destroyed.
-class MOCHA_REACTOR_SAFE LockServer {
+class MOCHA_REACTOR_SAFE LockServer : private replica::LockDirectorySink {
  public:
   struct Stats {
     std::uint32_t shard_id = 0;
@@ -104,62 +86,28 @@ class MOCHA_REACTOR_SAFE LockServer {
   bool is_blacklisted(std::uint32_t site) const EXCLUDES(mu_);
 
  private:
-  struct Request {
-    replica::LockId lock_id = 0;
-    std::uint32_t site = 0;
-    net::Port grant_port = 0;
-    net::Port data_port = 0;
-    std::uint64_t expected_hold_us = 0;
-    replica::LockWireMode mode = replica::LockWireMode::kExclusive;
-    std::uint64_t nonce = 0;
-    // Reactor lease timer armed at activation, cancelled at release.
-    Reactor::TimerId lease_timer = Reactor::kInvalidTimer;
-    // Telemetry span anchors (monotonic): arrival -> activate() is the wait
-    // histogram, activate() -> release is the hold histogram.
-    std::int64_t enqueued_at_us = 0;
-    std::int64_t granted_at_us = 0;
-  };
-
-  struct LockState {
-    replica::LockId id = 0;
-    std::vector<Request> active;  // current holders (readers, or one writer)
-    std::deque<Request> waiting;
-    replica::Version version = 0;
-    std::optional<std::uint32_t> last_owner;  // last *writer*
-    std::set<std::uint32_t> up_to_date;       // sites holding `version`
-    std::set<std::uint32_t> holders;          // registered replica holders
-    bool has_active_exclusive() const {
-      return active.size() == 1 &&
-             active.front().mode == replica::LockWireMode::kExclusive;
-    }
-  };
-
   // All handlers below run on the loop thread (analyzer-enforced).
   void handle(Endpoint::Message msg) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
-  void handle_acquire(util::WireReader& reader) MOCHA_REACTOR_ONLY
-      EXCLUDES(mu_);
-  void handle_release(util::WireReader& reader) MOCHA_REACTOR_ONLY
-      EXCLUDES(mu_);
   void handle_shard_map_request(net::NodeId src, util::WireReader& reader)
       MOCHA_REACTOR_ONLY EXCLUDES(mu_);
   // §11 introspection: answers with the whole process's registry snapshot.
   void handle_stats_request(net::NodeId src, util::WireReader& reader)
       MOCHA_REACTOR_ONLY;
-  void grant_from_queue(LockState& lock) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
-  void activate(LockState& lock, Request req) MOCHA_REACTOR_ONLY
-      EXCLUDES(mu_);
-  void send_grant(const Request& req, replica::Version version,
-                  replica::GrantFlag flag,
-                  const std::set<std::uint32_t>& holders,
-                  std::uint32_t transfer_from = 0) MOCHA_REACTOR_ONLY;
-  // §4 lease breaker, fired by the request's reactor timer. The (site,
-  // nonce) pair guards against ABA: a timer racing a release + re-acquire of
-  // the same site must not break the new hold.
-  void on_lease_expired(replica::LockId lock_id, std::uint32_t site,
-                        std::uint64_t nonce) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
-  void blacklist_site(std::uint32_t site) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
-  // Publishes the queue/lease gauges into stats_ (call with counts current).
-  void publish_gauges() MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+  // Publishes the core's counters and gauges into stats_ and the registry.
+  void publish_stats() MOCHA_REACTOR_ONLY EXCLUDES(mu_);
+
+  // --- replica::LockDirectorySink (called by dir_ on the loop thread) ---
+  void send_grant(const replica::LockHold& hold,
+                  const replica::GrantMsg& grant) MOCHA_REACTOR_ONLY override;
+  std::uint64_t arm_lease(const replica::LockHold& hold) MOCHA_REACTOR_ONLY
+      override;
+  void cancel_lease(const replica::LockHold& hold) MOCHA_REACTOR_ONLY
+      override;
+  // No heartbeat path yet: an expired lease is answered "dead" at once.
+  void confirm_owner(const replica::LockHold& hold) MOCHA_REACTOR_ONLY
+      override;
+  void trace(const replica::LockEvent& event) MOCHA_REACTOR_ONLY
+      EXCLUDES(mu_) override;
 
   Endpoint& endpoint_;
   LockServerOptions opts_;
@@ -168,16 +116,13 @@ class MOCHA_REACTOR_SAFE LockServer {
   // Owned exclusively by the loop thread while the server runs (never
   // touched from other threads, so no capability guards it; start() and
   // stop() hand over through the loop's own queue).
-  std::map<replica::LockId, LockState> locks_;
+  replica::LockDirectory dir_;
   ShardMap shard_map_;
-  std::uint64_t queued_waiters_ = 0;  // incremental gauges, loop thread
-  std::uint64_t active_leases_ = 0;
 
   mutable util::Mutex mu_;
   // Cross-thread observable state: the loop thread publishes, stats() /
   // is_blacklisted() read from arbitrary threads.
-  // Blacklisted site -> monotonic expiry (INT64_MAX: forever).
-  std::map<std::uint32_t, std::int64_t> blacklist_ GUARDED_BY(mu_);
+  std::set<std::uint32_t> blacklist_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
 
   // Registry handles ("shard.<id>.*"), resolved once in the constructor;

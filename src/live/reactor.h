@@ -2,9 +2,9 @@
 //
 // One Reactor is one event-loop thread, and the only event-loop
 // implementation in src/live. Each live::Endpoint runs its socket, transport
-// timers and port handlers (LockServer, DaemonService) on its own; the TCP
-// bulk backend owns one for its connections. It multiplexes three event
-// sources:
+// timers and port handlers (LockServer, DaemonService) on its own, and the
+// daemon's TCP bulk channel runs its listener and connections on that same
+// endpoint reactor. It multiplexes three event sources:
 //
 //   - fd readiness: watch_fd() registers a per-fd handler dispatched from
 //     epoll_wait (level-triggered; the handler sees the raw EPOLL* mask).

@@ -15,10 +15,10 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 
+#include "replica/lock_directory.h"
 #include "replica/version_vector.h"
 #include "replica/wire.h"
 #include "runtime/system.h"
@@ -34,13 +34,6 @@ struct ReplicaDirectoryEntry {
 };
 
 struct SyncStateLog {
-  struct LockRecord {
-    Version version = 0;
-    std::optional<runtime::SiteId> last_owner;
-    std::set<runtime::SiteId> up_to_date;
-    std::set<runtime::SiteId> holders;
-  };
-
   struct CachedRecord {
     util::Buffer blob;
     VersionVector vv;

@@ -1,28 +1,23 @@
-// The synchronization thread (paper §3, Fig 7) with the §4 fault-tolerance
-// refinements and the §3-mentioned shared (read-only) lock extension.
-// Runs at the home site; grants and queues locks, tracks version numbers and
-// the up-to-date replica set, directs daemons to transfer replicas directly
-// to requesting threads, and detects/handles remote failures:
-//   - transfer-directive timeout  -> poll surviving daemons, forward the most
-//     recent *available* version (possibly older: weakened consistency);
-//   - lock-lease expiry -> heartbeat the owner's daemon; on silence, break
-//     the lock, blacklist the owner, and grant to the next requester.
-//
-// Lock modes: exclusive (the paper's default) and shared. Grant policy is
-// strict FIFO with shared batching: the head of the wait queue is granted;
-// while it is shared, consecutive shared requests behind it are granted too
-// (so writers are never starved by later readers). Shared holders do not
-// advance the version; each becomes a member of the up-to-date set.
+// The synchronization thread of the simulated runtime (paper §3, Fig 7):
+// the sim adapter around replica::LockDirectory, which the live LockServer
+// runs too. One simulated thread at the home site. The §4 steps done here:
+//   - "transfer needed" is a blocking directive to the owner's daemon; on
+//     timeout it polls the surviving daemons for one poll window and
+//     redirects the most recent *available* version (weakened consistency);
+//   - leases are scanned every lease_check_interval while a lock is held,
+//     and an expired one is confirmed with a blocking heartbeat first;
+//   - durable facts go to the SyncStateLog, which a surrogate restores from.
+// It also keeps the sim-only replica registry and §7 cached directory.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
-#include <vector>
+#include <string>
 
 #include "net/mochanet.h"
+#include "replica/lock_directory.h"
 #include "replica/sync_log.h"
 #include "replica/wire.h"
 #include "runtime/system.h"
@@ -31,9 +26,7 @@ namespace mocha::replica {
 
 class ReplicaSystem;
 
-enum class LockMode : std::uint8_t { kExclusive = 0, kShared = 1 };
-
-class SyncService {
+class SyncService : private LockDirectorySink {
  public:
   // Starts the synchronization thread at `site`, restoring durable state
   // from the system's SyncStateLog (empty on the initial home start; the
@@ -41,43 +34,27 @@ class SyncService {
   SyncService(ReplicaSystem& system, runtime::SiteId site);
 
   // --- statistics / introspection (tests & benches) ---
-  std::uint64_t grants() const { return grants_; }
-  std::uint64_t locks_broken() const { return locks_broken_; }
+  std::uint64_t grants() const { return dir_.grants(); }
+  std::uint64_t locks_broken() const { return dir_.locks_broken(); }
   std::uint64_t failures_detected() const { return failures_detected_; }
   std::uint64_t stale_forwards() const { return stale_forwards_; }
   bool is_blacklisted(runtime::SiteId site) const {
-    return blacklist_.contains(site);
+    return dir_.is_blacklisted(site);
   }
 
  private:
-  struct Request {
-    LockId lock_id = 0;
-    runtime::SiteId site = 0;
-    net::Port grant_port = 0;
-    net::Port data_port = 0;
-    sim::Duration expected_hold = 0;
-    LockMode mode = LockMode::kExclusive;
-    // Echoed in the GRANT so clients can discard stale grants from a
-    // previous sync incarnation or a timed-out earlier request.
-    std::uint64_t nonce = 0;
-    sim::Time lease_deadline = 0;  // set when the request becomes active
-  };
+  // --- LockDirectorySink ---
+  void send_grant(const LockHold& hold, const GrantMsg& grant) override;
+  // Directs `owner`'s daemon to transfer lock replicas to the requester;
+  // falls back to polling on timeout.
+  void transfer_needed(const LockHold& hold, runtime::SiteId owner,
+                       Version version) override;
+  // Heartbeats the owner's daemon and answers the core.
+  void confirm_owner(const LockHold& hold) override;
+  void record_changed(LockId id, const LockRecord& record) override;
+  void trace(const LockEvent& event) override;
 
-  struct LockState {
-    LockId id = 0;
-    std::vector<Request> active;  // current holders (readers, or one writer)
-    std::deque<Request> waiting;
-    Version version = 0;
-    std::optional<runtime::SiteId> last_owner;  // last *writer*
-    std::set<runtime::SiteId> up_to_date;  // sites holding `version`
-    std::set<runtime::SiteId> holders;     // registered replica holders
-    bool has_active_exclusive() const {
-      return active.size() == 1 && active.front().mode == LockMode::kExclusive;
-    }
-  };
-
-  void restore_from_log();
-  void log_lock(const LockState& lock);
+  std::int64_t now() const;
   void log_replica(const std::string& name);
 
   void loop();
@@ -86,45 +63,25 @@ class SyncService {
   std::optional<net::MochaNetEndpoint::Message> next_message();
 
   void handle(net::MochaNetEndpoint::Message msg);
-  void handle_acquire(util::WireReader& reader);
-  void handle_release(util::WireReader& reader);
   void handle_publish_cached(util::WireReader& reader);
   void handle_refresh_cached(util::WireReader& reader);
-  // Grants the queue head; when it is shared, also grants the consecutive
-  // run of shared requests behind it.
-  void grant_from_queue(LockState& lock);
-  void activate(LockState& lock, Request req);
-  // `transfer_from` names the site whose daemon will source the replica for
-  // a kNeedNewVersion grant (0 = none; live clients pull from it).
-  void send_grant(const Request& req, Version version, GrantFlag flag,
-                  const std::vector<runtime::SiteId>& holders,
-                  runtime::SiteId transfer_from = 0);
-  // One TRANSFER_REPLICA directive to `owner`'s daemon for `req` (shared by
-  // the grant path and the poll-redirect path).
-  util::Status send_transfer_directive(const LockState& lock,
-                                       runtime::SiteId owner,
-                                       const Request& req);
-  // Directs `owner`'s daemon to transfer lock replicas to the requester;
-  // falls back to polling on timeout.
-  void direct_transfer(LockState& lock, runtime::SiteId owner,
-                       const Request& req);
+  // One TRANSFER_REPLICA directive to `source`'s daemon for `hold`; reports
+  // the outcome to the core.
+  bool send_transfer_directive(const LockHold& hold, runtime::SiteId source,
+                               Version version);
   // §4 failure handling: poll registered daemons for their newest version
   // and direct the best one to transfer.
-  void poll_and_redirect(LockState& lock, const Request& req);
+  void poll_and_redirect(const LockHold& hold);
   void scan_leases();
-  void break_lock(LockState& lock, std::size_t active_index);
 
   ReplicaSystem& system_;
   runtime::SiteId site_;
   net::MochaNetEndpoint* endpoint_ = nullptr;  // endpoint of site_
-  std::map<LockId, LockState> locks_;
+  LockDirectory dir_;
   std::map<std::string, ReplicaDirectoryEntry> replicas_;
   std::map<std::string, SyncStateLog::CachedRecord> cached_;  // §7 directory
-  std::set<runtime::SiteId> blacklist_;
   std::deque<net::MochaNetEndpoint::Message> stash_;
 
-  std::uint64_t grants_ = 0;
-  std::uint64_t locks_broken_ = 0;
   std::uint64_t failures_detected_ = 0;
   std::uint64_t stale_forwards_ = 0;
 };

@@ -110,9 +110,9 @@ enum class LockWireMode : std::uint8_t { kExclusive = 0, kShared = 1 };
 
 // --- Typed codecs for the lock-protocol messages ---
 //
-// Both runtimes — the simulated SyncService/ReplicaLock pair and the live
-// LockServer/LockClient pair — speak exactly these bytes; there is one
-// encoder/decoder per message, here. encode() writes the message including
+// Both runtimes speak exactly these bytes (replica::LockDirectory decodes the
+// requests for the sim SyncService and the live LockServer alike); there is
+// one encoder/decoder per message, here. encode() writes the message including
 // its type byte; decode() assumes the dispatcher consumed the type byte.
 // Decoders throw util::CodecError on truncated input.
 

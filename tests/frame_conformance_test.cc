@@ -140,8 +140,9 @@ TEST(FrameCodec, UnknownTypeAndTruncationThrow) {
 
 // --- Lock-protocol message round-trips (replica/wire.h) ---
 //
-// Both runtimes — the simulated SyncService/ReplicaLock pair and the live
-// LockServer/LockClient pair — speak these codecs; tools/lint_protocol.py
+// Both runtimes speak these codecs: replica::LockDirectory decodes the
+// requests behind the sim SyncService and the live LockServer, and the sim
+// ReplicaLock and live LockClient encode them; tools/lint_protocol.py
 // requires every typed message here by name.
 
 TEST(LockWireCodec, AcquireLockRoundTrip) {
