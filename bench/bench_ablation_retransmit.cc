@@ -26,9 +26,8 @@ LossyResult lossy_transfer(double loss, bool selective, std::uint64_t seed) {
   net::NetProfile profile = net::NetProfile::wan();
   profile.loss_rate = loss;
   profile.mn_rto_us = 150'000;
-  profile.mn_nack_delay_us = 30'000;
+  profile.mn_nack_delay_us = selective ? 30'000 : 0;
   profile.mn_max_retries = 20;
-  profile.mn_selective_retransmit = selective;
   net::Network netw(sched, profile, seed);
   auto a = netw.add_node("a"), b = netw.add_node("b");
   net::MochaNetEndpoint ep_a(netw, a), ep_b(netw, b);

@@ -1,13 +1,10 @@
-// Monotonic wall-clock time source for the live runtime, plus the
-// round-trip-time estimator that turns its readings into retransmit
-// timeouts.
+// Monotonic wall-clock time source for the live runtime.
 //
 // The simulated backend runs on sim::Scheduler virtual time; everything in
 // src/live runs on this clock instead. Virtual so tests can substitute a
 // fake; the default is CLOCK_MONOTONIC via std::chrono::steady_clock.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 namespace mocha::live {
@@ -21,100 +18,6 @@ class Clock {
 
   // Process-wide steady-clock instance.
   static Clock& monotonic();
-};
-
-// Jacobson/Karels round-trip-time estimator (RFC 6298 shape), one per peer.
-//
-//   first sample:  SRTT = R,            RTTVAR = R / 2
-//   then:          RTTVAR += (|SRTT - R| - RTTVAR) / 4
-//                  SRTT   += (R - SRTT) / 8
-//   RTO = clamp(SRTT + max(granularity, 4 * RTTVAR), min_rto, max_rto)
-//
-// A retransmit timeout doubles the RTO (exponential backoff, capped at
-// `backoff_cap` doublings); any accepted sample — i.e. an ack for a message
-// that was never retransmitted, per Karn's algorithm, which is enforced by
-// the caller — resets the backoff. Before the first sample rto_us() is the
-// configured initial RTO, so a fresh peer behaves exactly like the old
-// fixed-RTO endpoint until evidence arrives.
-//
-// Integer arithmetic in microseconds throughout; granularity is min_rto_us.
-class RttEstimator {
- public:
-  struct Params {
-    std::int64_t initial_rto_us = 20'000;
-    std::int64_t min_rto_us = 1'000;
-    std::int64_t max_rto_us = 1'000'000;
-    int backoff_cap = 6;  // max doublings: RTO never exceeds base << cap
-  };
-
-  RttEstimator() = default;
-  explicit RttEstimator(Params params) : params_(params) {}
-
-  // Folds in one round-trip measurement and resets the backoff. Callers must
-  // only sample acks of never-retransmitted messages (Karn's algorithm).
-  void sample(std::int64_t rtt_us) {
-    rtt_us = std::max<std::int64_t>(rtt_us, 1);
-    if (srtt_us_ == 0) {
-      srtt_us_ = rtt_us;
-      rttvar_us_ = rtt_us / 2;
-    } else {
-      const std::int64_t err = std::max<std::int64_t>(
-          srtt_us_ > rtt_us ? srtt_us_ - rtt_us : rtt_us - srtt_us_, 0);
-      rttvar_us_ += (err - rttvar_us_) / 4;
-      srtt_us_ += (rtt_us - srtt_us_) / 8;
-    }
-    backoff_shift_ = 0;
-  }
-
-  // Exponential backoff after a retransmit timeout.
-  void backoff() {
-    if (backoff_shift_ < params_.backoff_cap) ++backoff_shift_;
-  }
-
-  bool has_sample() const { return srtt_us_ != 0; }
-  std::int64_t srtt_us() const { return srtt_us_; }
-  std::int64_t rttvar_us() const { return rttvar_us_; }
-  int backoff_shift() const { return backoff_shift_; }
-
-  // Base RTO before backoff.
-  std::int64_t base_rto_us() const {
-    if (srtt_us_ == 0) return clamp(params_.initial_rto_us);
-    return clamp(srtt_us_ +
-                 std::max(params_.min_rto_us, 4 * rttvar_us_));
-  }
-
-  // Current RTO including backoff.
-  std::int64_t rto_us() const {
-    return clamp(base_rto_us() << backoff_shift_);
-  }
-
-  // Total duration of a sender's full backed-off retransmit schedule: the
-  // initial wait plus `max_retries` resends, each doubling up to
-  // `backoff_cap` and clamping at `max_rto_us`. This is how long a peer that
-  // started at `initial_rto_us` keeps trying before it gives up — receivers
-  // size their gap-skip stagnation window from it.
-  static std::int64_t retry_schedule_us(std::int64_t initial_rto_us,
-                                        int max_retries, int backoff_cap,
-                                        std::int64_t max_rto_us) {
-    std::int64_t total = 0;
-    for (int i = 0; i <= max_retries; ++i) {
-      const int shift = std::min(i, backoff_cap);
-      std::int64_t rto = initial_rto_us << shift;
-      if (rto > max_rto_us || rto <= 0) rto = max_rto_us;  // <=0: overflow
-      total += rto;
-    }
-    return total;
-  }
-
- private:
-  std::int64_t clamp(std::int64_t v) const {
-    return std::clamp(v, params_.min_rto_us, params_.max_rto_us);
-  }
-
-  Params params_;
-  std::int64_t srtt_us_ = 0;  // 0 = no sample yet
-  std::int64_t rttvar_us_ = 0;
-  int backoff_shift_ = 0;
 };
 
 }  // namespace mocha::live

@@ -1,6 +1,7 @@
 #include "net/frame.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace mocha::net {
 
@@ -53,8 +54,12 @@ std::vector<util::Buffer> fragment_message(
     std::uint64_t seq, Port port, std::span<const std::uint8_t> payload,
     std::size_t max_chunk) {
   const std::size_t total = payload.size();
-  const std::uint32_t frag_count = static_cast<std::uint32_t>(
-      total == 0 ? 1 : (total + max_chunk - 1) / max_chunk);
+  const std::size_t frags = std::max<std::size_t>(
+      1, (total + max_chunk - 1) / max_chunk);
+  if (frags > kMaxFragments) {
+    throw std::length_error("MochaNet message needs over kMaxFragments");
+  }
+  const auto frag_count = static_cast<std::uint32_t>(frags);
   std::vector<util::Buffer> frames;
   frames.reserve(frag_count);
   for (std::uint32_t i = 0; i < frag_count; ++i) {
@@ -109,25 +114,29 @@ NackFrame decode_nack_frame(util::WireReader& reader) {
   NackFrame nack;
   nack.seq = reader.u64();
   const std::uint32_t n = reader.u32();
+  if (n > reader.remaining() / 4) {
+    throw util::CodecError("NACK frame claims " + std::to_string(n) +
+                           " missing fragments past its end");
+  }
   nack.missing.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) nack.missing.push_back(reader.u32());
   return nack;
 }
 
 bool FragmentAssembler::add(const DataFrame& frame) {
-  if (frame.frag_count == 0) {
-    throw util::CodecError("DATA frame with frag_count 0");
+  if (frame.frag_count == 0 || frame.frag_count > kMaxFragments) {
+    throw util::CodecError("DATA frame with frag_count " +
+                           std::to_string(frame.frag_count));
   }
   if (frag_count_ == 0) {
     frag_count_ = frame.frag_count;
     port_ = frame.port;
     have_.assign(frag_count_, false);
-    parts_.resize(frag_count_);
   }
   if (frame.frag_idx >= frag_count_ || have_[frame.frag_idx]) return false;
   have_[frame.frag_idx] = true;
-  parts_[frame.frag_idx].assign(frame.chunk.begin(), frame.chunk.end());
-  ++frags_received_;
+  parts_.emplace_back(frame.frag_idx,
+                      util::Buffer(frame.chunk.begin(), frame.chunk.end()));
   return true;
 }
 
@@ -139,12 +148,14 @@ std::vector<std::uint32_t> FragmentAssembler::missing() const {
   return out;
 }
 
-util::Buffer FragmentAssembler::assemble() const {
+util::Buffer FragmentAssembler::assemble() {
+  std::sort(parts_.begin(), parts_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   util::Buffer payload;
   std::size_t total = 0;
-  for (const util::Buffer& part : parts_) total += part.size();
+  for (const auto& [idx, part] : parts_) total += part.size();
   payload.reserve(total);
-  for (const util::Buffer& part : parts_) {
+  for (const auto& [idx, part] : parts_) {
     payload.insert(payload.end(), part.begin(), part.end());
   }
   return payload;

@@ -1,10 +1,11 @@
 // MochaNet frame codec — the single source of truth for what a MochaNet
 // frame looks like on the wire.
 //
-// Both transport backends speak exactly this format:
+// net::MochaNetCore (net/mochanet_core.h) is the one protocol that speaks
+// it, under both adapters:
 //   - `net::MochaNetEndpoint` (simulated fabric, deterministic virtual time)
 //   - `live::Endpoint`        (real UDP sockets, wall-clock time)
-// so frames captured from one backend decode with the other. The sim fabric
+// so frames captured from one runtime decode with the other. The sim fabric
 // carries the (src, dst) node addressing in its Datagram envelope; the live
 // backend prepends a 4-byte source-node envelope to each UDP datagram (see
 // live/endpoint.h) — the frame bytes themselves are identical.
@@ -50,6 +51,11 @@ constexpr std::size_t kDataAckBaseHeaderBytes = kFragHeaderBytes + 1;
 constexpr std::size_t kPiggybackAckBytes = 8;
 constexpr std::size_t kMaxPiggybackAcks = 255;  // u8 count on the wire
 
+// Most fragments one message may have (~90 MB at a 1400-byte MTU). The
+// receiver sizes reassembly state from a frame's frag_count, so a larger
+// count off the wire is rejected rather than allocated.
+constexpr std::uint32_t kMaxFragments = 1u << 16;
+
 struct DataFrame {
   std::uint64_t seq = 0;
   std::uint32_t frag_idx = 0;
@@ -88,6 +94,7 @@ void encode_nack_frame(util::Buffer& out, const NackFrame& nack);
 // Splits `payload` into DATA frames of at most `max_chunk` payload bytes
 // each (at least one frame — empty messages travel as a single empty
 // fragment). Returns the ready-to-send frame buffers in fragment order.
+// Throws std::length_error when that takes more than kMaxFragments frames.
 std::vector<util::Buffer> fragment_message(std::uint64_t seq, Port port,
                                            std::span<const std::uint8_t> payload,
                                            std::size_t max_chunk);
@@ -106,38 +113,34 @@ NackFrame decode_nack_frame(util::WireReader& reader);
 
 // --- Reassembly ---
 
-// Collects the fragments of one message. Transport-neutral: the sim endpoint
-// wraps it with virtual-time NACK bookkeeping, the live endpoint with
-// wall-clock state.
+// Collects the fragments of one message (MochaNetCore wraps it with the
+// NACK bookkeeping). Parts are stored as they arrive; only a bitmap is sized
+// from the frag_count a frame claims.
 class FragmentAssembler {
  public:
   // Folds one DATA fragment in. Returns false for duplicates and for
   // fragments inconsistent with the first one seen (bad index); such frames
-  // are ignored. Throws CodecError on a zero frag_count.
+  // are ignored. Throws CodecError, before changing anything, on a
+  // frag_count of 0 or above kMaxFragments.
   bool add(const DataFrame& frame);
 
   bool complete() const {
-    return frag_count_ != 0 && frags_received_ == frag_count_;
+    return frag_count_ != 0 && parts_.size() == frag_count_;
   }
   std::uint32_t frag_count() const { return frag_count_; }
-  std::uint32_t frags_received() const { return frags_received_; }
   Port port() const { return port_; }
-  bool have(std::uint32_t idx) const {
-    return idx < have_.size() && have_[idx];
-  }
   // Fragment indices not yet received (NACK payload).
   std::vector<std::uint32_t> missing() const;
 
   // Concatenates the fragments into the original message payload.
   // Precondition: complete().
-  util::Buffer assemble() const;
+  util::Buffer assemble();
 
  private:
   std::uint32_t frag_count_ = 0;  // 0 = no fragment seen yet
-  std::uint32_t frags_received_ = 0;
   Port port_ = 0;
   std::vector<bool> have_;
-  std::vector<util::Buffer> parts_;
+  std::vector<std::pair<std::uint32_t, util::Buffer>> parts_;  // by arrival
 };
 
 }  // namespace mocha::net

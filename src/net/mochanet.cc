@@ -1,15 +1,29 @@
 #include "net/mochanet.h"
 
-#include <cassert>
-
-#include "util/log.h"
+#include <algorithm>
 
 namespace mocha::net {
 
+namespace {
+
+MochaNetOptions core_options(const NetProfile& prof) {
+  MochaNetOptions opts;
+  opts.max_frame_bytes = prof.mtu;
+  opts.rto_us = static_cast<std::int64_t>(prof.mn_rto_us);
+  opts.max_retries = prof.mn_max_retries;
+  opts.adaptive_rto = false;
+  opts.nack_delay_us = static_cast<std::int64_t>(prof.mn_nack_delay_us);
+  opts.ack_delay_us = 0;
+  return opts;
+}
+
+}  // namespace
+
 MochaNetEndpoint::MochaNetEndpoint(Network& net, NodeId node)
-    : net_(net), sched_(net.scheduler()), node_(node) {
-  assert(net_.profile().mtu > kFragHeaderBytes);
-  max_fragment_payload_ = net_.profile().mtu - kFragHeaderBytes;
+    : net_(net),
+      sched_(net.scheduler()),
+      node_(node),
+      core_(core_options(net.profile()), *this) {
   wire_box_ = &net_.bind(node_, kWirePort);
   sched_.spawn("mochanet/" + net_.node_name(node_), [this] { receiver_loop(); });
 }
@@ -25,270 +39,106 @@ sim::Mailbox<MochaNetEndpoint::Message>& MochaNetEndpoint::port_box(Port port) {
 }
 
 void MochaNetEndpoint::send(NodeId dst, Port port, util::Buffer payload) {
-  send_internal(dst, port, std::move(payload), /*synchronous=*/false);
+  send_internal(dst, port, payload);
 }
 
 util::Status MochaNetEndpoint::send_sync(NodeId dst, Port port,
                                          util::Buffer payload,
                                          sim::Duration timeout) {
-  std::uint64_t seq = send_internal(dst, port, std::move(payload),
-                                    /*synchronous=*/true);
-  MsgKey key{dst, seq};
-  auto it = outstanding_.find(key);
-  if (it == outstanding_.end()) return util::Status::ok();  // acked instantly
-  std::shared_ptr<Outstanding> out = it->second;
+  const std::uint64_t seq = send_internal(dst, port, payload);
+  // No ack can have arrived yet: that takes the receiver loop, which has
+  // not run since the last fragment left.
+  auto it = waiters_.try_emplace({dst, seq}, sched_).first;
+  SyncWaiter& waiter = it->second;
   const sim::Time deadline = sched_.now() + timeout;
-  while (!out->acked && !out->failed) {
+  while (!waiter.acked && !waiter.failed) {
     const sim::Time now = sched_.now();
     if (now >= deadline) break;
-    out->waiter->wait_for(deadline - now);
+    waiter.cond.wait_for(deadline - now);
   }
-  if (out->acked) return util::Status::ok();
+  const bool acked = waiter.acked;
+  waiters_.erase(it);
+  if (acked) return util::Status::ok();
   return util::Status(util::StatusCode::kTimeout,
                       "no transport ack from '" + net_.node_name(dst) + "'");
 }
 
 std::uint64_t MochaNetEndpoint::send_internal(NodeId dst, Port port,
-                                              util::Buffer payload,
-                                              bool synchronous) {
-  auto [seq_it, unused] = next_seq_out_.try_emplace(dst, 1);
-  const std::uint64_t seq = seq_it->second++;
-
-  auto out = std::make_shared<Outstanding>();
-  out->retries_left = net_.profile().mn_max_retries;
-  if (synchronous) out->waiter = std::make_unique<sim::Condition>(sched_);
-
-  // Per-message protocol work at the sender (stream setup, header build).
-  sched_.compute(net_.profile().mn_msg_cpu_us);
-
-  // Shared frame codec (net/frame.h): identical bytes to live::Endpoint.
-  std::vector<util::Buffer> frames =
-      fragment_message(seq, port, payload, max_fragment_payload_);
-  for (util::Buffer& frame : frames) {
-    const std::size_t len = frame.size() - kFragHeaderBytes;
-    Datagram dgram;
-    dgram.src = node_;
-    dgram.dst = dst;
-    dgram.src_port = kWirePort;
-    dgram.dst_port = kWirePort;
-    dgram.payload = std::move(frame);
-    out->fragments.push_back(dgram);
-
-    // User-level (interpreted) fragmentation cost, paid inline by the sender.
-    const NetProfile& prof = net_.profile();
-    sched_.compute(prof.mn_frag_cpu_us +
-                   static_cast<sim::Duration>(prof.mn_per_byte_us *
-                                              static_cast<double>(len)));
-    net_.send(std::move(dgram));
-    ++fragments_sent_;
-  }
-  ++messages_sent_;
-
-  MsgKey key{dst, seq};
-  outstanding_.emplace(key, out);
-  arm_retransmit(key);
+                                              const util::Buffer& payload) {
+  const std::uint64_t seq =
+      core_.send(static_cast<std::int64_t>(sched_.now()), dst, port, payload);
+  core_.sent(static_cast<std::int64_t>(sched_.now()), dst, seq);
+  arm_timer();
   return seq;
-}
-
-void MochaNetEndpoint::arm_retransmit(MsgKey key) {
-  sched_.post_in(net_.profile().mn_rto_us, [this, key] {
-    auto it = outstanding_.find(key);
-    if (it == outstanding_.end()) return;  // acked and reaped
-    std::shared_ptr<Outstanding> out = it->second;
-    if (out->acked) {
-      outstanding_.erase(it);
-      return;
-    }
-    if (out->retries_left-- <= 0) {
-      out->failed = true;
-      if (out->waiter) out->waiter->notify_all();
-      MOCHA_DEBUG("mochanet") << net_.node_name(node_) << ": message seq "
-                              << key.second << " to '"
-                              << net_.node_name(key.first)
-                              << "' failed (retries exhausted)";
-      outstanding_.erase(it);
-      return;
-    }
-    // Retransmission happens off any process context (timer fire); its CPU
-    // cost is negligible next to the RTO and is not modeled.
-    for (const Datagram& frag : out->fragments) {
-      Datagram copy = frag;
-      net_.send(std::move(copy));
-      ++retransmissions_;
-    }
-    arm_retransmit(key);
-  });
 }
 
 void MochaNetEndpoint::receiver_loop() {
   while (true) {
-    Datagram dgram = wire_box_->recv();
-    util::WireReader reader(dgram.payload);
-    switch (decode_frame_type(reader)) {
-      case FrameType::kData:
-        handle_data(dgram, decode_data_frame(reader));
-        break;
-      case FrameType::kDataAck: {
-        // Piggybacked acks first (they release send_sync waiters), then the
-        // data payload exactly as a plain DATA frame.
-        const DataFrame frame = decode_data_ack_frame(reader);
-        for (std::uint64_t acked : frame.acks) {
-          sched_.compute(net_.profile().mn_ack_cpu_us);
-          ack_outstanding(dgram.src, acked);
-        }
-        handle_data(dgram, frame);
-        break;
-      }
-      case FrameType::kAck:
-        handle_ack(dgram, reader);
-        break;
-      case FrameType::kNack:
-        handle_nack(dgram, reader);
-        break;
-    }
+    const Datagram dgram = wire_box_->recv();
+    core_.on_frame(static_cast<std::int64_t>(sched_.now()), dgram.src,
+                   dgram.payload);
+    arm_timer();
   }
 }
 
-void MochaNetEndpoint::handle_data(const Datagram& dgram,
-                                   const DataFrame& frame) {
-  const std::uint64_t seq = frame.seq;
-
-  // User-level reassembly cost at the receiver.
-  const NetProfile& prof = net_.profile();
-  sched_.compute(prof.mn_frag_cpu_us + static_cast<sim::Duration>(
-                                           prof.mn_per_byte_us *
-                                           static_cast<double>(frame.chunk.size())));
-
-  auto [in_it, unused] = next_seq_in_.try_emplace(dgram.src, 1);
-  if (seq < in_it->second || stashed_.contains({dgram.src, seq})) {
-    // Duplicate of an already-completed message: re-ACK so the sender stops.
-    send_ack(dgram.src, seq);
-    return;
-  }
-
-  MsgKey key{dgram.src, seq};
-  Reassembly& re = reassembly_[key];
-  if (!re.assembler.add(frame)) return;  // dup fragment
-  re.last_arrival = sched_.now();
-  if (!re.assembler.complete()) {
-    if (prof.mn_selective_retransmit && !re.nack_armed) {
-      re.nack_armed = true;
-      arm_nack(key);
-    }
-    return;
-  }
-
-  // Message complete: per-message protocol work at the receiver, then ACK
-  // and deliver in per-sender order.
-  sched_.compute(prof.mn_msg_cpu_us);
-  Message msg;
-  msg.src = dgram.src;
-  msg.port = re.assembler.port();
-  msg.payload = re.assembler.assemble();
-  reassembly_.erase(key);
-  send_ack(dgram.src, seq);
-  stashed_.emplace(key, std::move(msg));
-  deliver_in_order(dgram.src);
-  if (stashed_.lower_bound({dgram.src, 0}) != stashed_.end() &&
-      stashed_.lower_bound({dgram.src, 0})->first.first == dgram.src) {
-    schedule_gap_skip(dgram.src);
-  }
-}
-
-void MochaNetEndpoint::schedule_gap_skip(NodeId src) {
-  const NetProfile& prof = net_.profile();
-  const sim::Duration gap_timeout =
-      prof.mn_rto_us * static_cast<sim::Duration>(prof.mn_max_retries + 2);
-  const std::uint64_t expected = next_seq_in_[src];
-  sched_.post_in(gap_timeout, [this, src, expected] {
-    std::uint64_t& next = next_seq_in_[src];
-    if (next != expected) return;  // the stream progressed; no hole
-    auto it = stashed_.lower_bound({src, 0});
-    if (it == stashed_.end() || it->first.first != src) return;
-    MOCHA_DEBUG("mochanet") << net_.node_name(node_)
-                            << ": skipping sequence hole " << next << ".."
-                            << it->first.second - 1 << " from '"
-                            << net_.node_name(src) << "'";
-    next = it->first.second;
-    deliver_in_order(src);
+void MochaNetEndpoint::arm_timer() {
+  const std::int64_t deadline = core_.next_deadline_us();
+  if (deadline == MochaNetCore::kNoDeadline) return;
+  const sim::Time when =
+      std::max(static_cast<sim::Time>(deadline), sched_.now());
+  if (!timers_.insert(when).second) return;
+  sched_.post_at(when, [this, when] {
+    timers_.erase(when);
+    core_.on_timer(static_cast<std::int64_t>(sched_.now()));
+    arm_timer();
   });
 }
 
-void MochaNetEndpoint::deliver_in_order(NodeId src) {
-  std::uint64_t& next = next_seq_in_[src];
-  while (true) {
-    auto it = stashed_.find({src, next});
-    if (it == stashed_.end()) return;
-    Message msg = std::move(it->second);
-    stashed_.erase(it);
-    ++next;
-    ++messages_delivered_;
-    port_box(msg.port).send(std::move(msg));
+void MochaNetEndpoint::send_frame(NodeId dst, util::Buffer frame) {
+  Datagram dgram;
+  dgram.src = node_;
+  dgram.dst = dst;
+  dgram.src_port = kWirePort;
+  dgram.dst_port = kWirePort;
+  dgram.payload = std::move(frame);
+  net_.send(std::move(dgram));
+}
+
+void MochaNetEndpoint::deliver(NodeId src, Port port, util::Buffer payload) {
+  port_box(port).send(Message{src, port, std::move(payload)});
+}
+
+void MochaNetEndpoint::acked(NodeId dst, std::uint64_t seq,
+                             std::int64_t /*latency_us*/) {
+  auto it = waiters_.find({dst, seq});
+  if (it == waiters_.end()) return;
+  it->second.acked = true;
+  it->second.cond.notify_all();
+}
+
+void MochaNetEndpoint::failed(NodeId dst, std::uint64_t seq) {
+  auto it = waiters_.find({dst, seq});
+  if (it == waiters_.end()) return;
+  it->second.failed = true;
+  it->second.cond.notify_all();
+}
+
+void MochaNetEndpoint::work(Work kind, std::size_t bytes) {
+  // User-level (interpreted) protocol work, paid inline by the caller.
+  const NetProfile& prof = net_.profile();
+  switch (kind) {
+    case Work::kMessage:
+      sched_.compute(prof.mn_msg_cpu_us);
+      break;
+    case Work::kFragment:
+      sched_.compute(prof.mn_frag_cpu_us +
+                     static_cast<sim::Duration>(prof.mn_per_byte_us *
+                                                static_cast<double>(bytes)));
+      break;
+    case Work::kAck:
+      sched_.compute(prof.mn_ack_cpu_us);
+      break;
   }
-}
-
-void MochaNetEndpoint::arm_nack(MsgKey key) {
-  sched_.post_in(net_.profile().mn_nack_delay_us, [this, key] {
-    auto it = reassembly_.find(key);
-    if (it == reassembly_.end()) return;  // completed meanwhile
-    Reassembly& re = it->second;
-    // Only NACK once the fragment stream has gone quiet — fragments still
-    // flowing in means the sender is mid-transmission, not that loss struck.
-    if (sched_.now() - re.last_arrival < net_.profile().mn_nack_delay_us) {
-      arm_nack(key);
-      return;
-    }
-    if (re.nacks_sent++ >= net_.profile().mn_max_retries) return;
-
-    Datagram nack;
-    nack.src = node_;
-    nack.dst = key.first;
-    nack.src_port = kWirePort;
-    nack.dst_port = kWirePort;
-    encode_nack_frame(nack.payload,
-                      NackFrame{key.second, re.assembler.missing()});
-    net_.send(std::move(nack));
-    arm_nack(key);  // keep probing until complete or give-up
-  });
-}
-
-void MochaNetEndpoint::handle_nack(const Datagram& dgram,
-                                   util::WireReader& reader) {
-  sched_.compute(net_.profile().mn_ack_cpu_us);
-  const NackFrame nack = decode_nack_frame(reader);
-  auto it = outstanding_.find({dgram.src, nack.seq});
-  if (it == outstanding_.end()) return;  // already acked/failed
-  for (std::uint32_t idx : nack.missing) {
-    if (idx >= it->second->fragments.size()) continue;
-    Datagram copy = it->second->fragments[idx];
-    net_.send(std::move(copy));
-    ++retransmissions_;
-  }
-}
-
-void MochaNetEndpoint::send_ack(NodeId dst, std::uint64_t seq) {
-  sched_.compute(net_.profile().mn_ack_cpu_us);
-  Datagram ack;
-  ack.src = node_;
-  ack.dst = dst;
-  ack.src_port = kWirePort;
-  ack.dst_port = kWirePort;
-  encode_ack_frame(ack.payload, seq);
-  net_.send(std::move(ack));
-}
-
-void MochaNetEndpoint::handle_ack(const Datagram& dgram,
-                                  util::WireReader& reader) {
-  sched_.compute(net_.profile().mn_ack_cpu_us);
-  ack_outstanding(dgram.src, decode_ack_frame(reader).seq);
-}
-
-void MochaNetEndpoint::ack_outstanding(NodeId src, std::uint64_t seq) {
-  auto it = outstanding_.find({src, seq});
-  if (it == outstanding_.end()) return;
-  it->second->acked = true;
-  if (it->second->waiter) it->second->waiter->notify_all();
-  outstanding_.erase(it);
 }
 
 MochaNetEndpoint::Message MochaNetEndpoint::recv(Port port) {

@@ -8,15 +8,22 @@
 //  associated with other transport protocols such as TCP."        — §5
 //
 // One endpoint per node owns a single wire port and demultiplexes upward to
-// logical ports (the "upward multiplexing"). Messages of any size are
-// fragmented to the MTU; fragmentation/reassembly runs at *user level* and is
-// charged the interpreted-bytecode CPU cost from the NetProfile — this is
-// exactly why the hybrid protocol beats it for large replicas (Figs 11-14).
+// logical ports. Fragmentation/reassembly runs at *user level* and is
+// charged the interpreted-bytecode CPU cost from the NetProfile — exactly
+// why the hybrid protocol beats it for large replicas (Figs 11-14).
 //
-// Reliability is asynchronous: send() returns once the local protocol work is
-// done; a background retransmit timer resends until the peer's transport ACK
-// arrives. send_sync() additionally waits for that ACK (with a timeout), which
-// is what the fault-tolerance layer uses to detect dead peers.
+// The protocol is net::MochaNetCore (net/mochanet_core.h), the state machine
+// live::Endpoint also runs; this class is its simulator adapter. It maps the
+// NetProfile to a fixed RTO (mn_rto_us, mn_max_retries), NACKs after
+// mn_nack_delay_us (0 = off) and no ack delay; charges the core's work
+// reports as mn_msg_cpu_us, mn_frag_cpu_us + mn_per_byte_us per byte and
+// mn_ack_cpu_us of virtual CPU time (timer-driven resends are free); posts a
+// scheduler event at each new core deadline; and delivers into per-port
+// mailboxes.
+//
+// send() returns once the local protocol work is done; retransmission runs
+// in the background. send_sync() also waits for the transport ACK (with a
+// timeout), which is how the fault-tolerance layer detects dead peers.
 //
 // Lifetime: endpoints must outlive the simulation run (use Network::kill_node
 // for failure injection; do not destroy live endpoints mid-run).
@@ -26,14 +33,15 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 
-#include "net/frame.h"
+#include "net/mochanet_core.h"
 #include "net/network.h"
 #include "util/status.h"
 
 namespace mocha::net {
 
-class MochaNetEndpoint {
+class MochaNetEndpoint : private MochaNetSink {
  public:
   // Well-known wire port every endpoint binds on its node.
   static constexpr Port kWirePort = 1;
@@ -68,70 +76,48 @@ class MochaNetEndpoint {
   std::optional<Message> recv_for(Port port, sim::Duration timeout);
 
   // --- Statistics ---
-  std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t messages_delivered() const { return messages_delivered_; }
-  std::uint64_t fragments_sent() const { return fragments_sent_; }
-  std::uint64_t retransmissions() const { return retransmissions_; }
+  std::uint64_t messages_sent() const { return core_.counters().messages_sent; }
+  std::uint64_t messages_delivered() const {
+    return core_.counters().messages_delivered;
+  }
+  std::uint64_t fragments_sent() const {
+    return core_.counters().fragments_sent;
+  }
+  std::uint64_t retransmissions() const {
+    return core_.counters().retransmissions;
+  }
 
  private:
-  struct Outstanding {
-    std::vector<Datagram> fragments;
-    int retries_left = 0;
+  struct SyncWaiter {
+    explicit SyncWaiter(sim::Scheduler& sched) : cond(sched) {}
+    sim::Condition cond;
     bool acked = false;
     bool failed = false;
-    std::unique_ptr<sim::Condition> waiter;  // present for send_sync
   };
 
-  struct Reassembly {
-    FragmentAssembler assembler;  // shared codec (net/frame.h)
-    int nacks_sent = 0;
-    bool nack_armed = false;
-    sim::Time last_arrival = 0;  // quiescence detector for selective NACKs
-  };
+  // MochaNetSink: the core's outputs.
+  void send_frame(NodeId dst, util::Buffer frame) override;
+  void deliver(NodeId src, Port port, util::Buffer payload) override;
+  void acked(NodeId dst, std::uint64_t seq, std::int64_t latency_us) override;
+  void failed(NodeId dst, std::uint64_t seq) override;
+  void work(Work kind, std::size_t bytes) override;
 
-  using MsgKey = std::pair<NodeId, std::uint64_t>;  // (peer, seq)
-
-  std::uint64_t send_internal(NodeId dst, Port port, util::Buffer payload,
-                              bool synchronous);
-  void arm_retransmit(MsgKey key);
-  // A sender that exhausts its retries leaves a permanent hole in the
-  // per-sender sequence stream (e.g. a heartbeat sent while we were dead).
-  // Once newer messages complete, skip the hole after a timeout comfortably
-  // longer than the sender's full retry schedule.
-  void schedule_gap_skip(NodeId src);
+  std::uint64_t send_internal(NodeId dst, Port port,
+                              const util::Buffer& payload);
   void receiver_loop();
-  void handle_data(const Datagram& dgram, const DataFrame& frame);
-  void handle_ack(const Datagram& dgram, util::WireReader& reader);
-  void handle_nack(const Datagram& dgram, util::WireReader& reader);
-  // Marks (src, seq) acked and wakes its send_sync waiter — the shared tail
-  // of standalone ACK frames and acks piggybacked on DATA+ACK frames.
-  void ack_outstanding(NodeId src, std::uint64_t seq);
-  // Selective retransmission: after a quiet period, ask the sender for just
-  // the missing fragments of a partially reassembled message.
-  void arm_nack(MsgKey key);
-  void deliver_in_order(NodeId src);
-  void send_ack(NodeId dst, std::uint64_t seq);
+  // Posts one scheduler event at the core's next deadline unless one is
+  // already posted for that time.
+  void arm_timer();
   sim::Mailbox<Message>& port_box(Port port);
 
   Network& net_;
   sim::Scheduler& sched_;
   NodeId node_;
-  std::size_t max_fragment_payload_;
   sim::Mailbox<Datagram>* wire_box_ = nullptr;
-
-  std::map<NodeId, std::uint64_t> next_seq_out_;
-  std::map<MsgKey, std::shared_ptr<Outstanding>> outstanding_;
-
-  std::map<MsgKey, Reassembly> reassembly_;
-  std::map<NodeId, std::uint64_t> next_seq_in_;
-  std::map<MsgKey, Message> stashed_;  // complete but out of order
-
+  MochaNetCore core_;
+  std::set<sim::Time> timers_;  // times with an on_timer event posted
+  std::map<std::pair<NodeId, std::uint64_t>, SyncWaiter> waiters_;
   std::map<Port, std::unique_ptr<sim::Mailbox<Message>>> delivered_;
-
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t messages_delivered_ = 0;
-  std::uint64_t fragments_sent_ = 0;
-  std::uint64_t retransmissions_ = 0;
 };
 
 }  // namespace mocha::net

@@ -40,11 +40,11 @@ struct NetProfile {
   sim::Duration mn_ack_cpu_us = 100;    // cost to process/emit a transport ACK
   sim::Duration mn_rto_us = 50'000;     // retransmit timeout
   int mn_max_retries = 4;
-  // Selective retransmission (ablation): receivers NACK missing fragments
-  // after mn_nack_delay_us instead of waiting for the sender's full-message
-  // RTO resend. Off by default — the paper's library resends whole messages.
-  bool mn_selective_retransmit = false;
-  sim::Duration mn_nack_delay_us = 10'000;
+  // Selective retransmission (ablation): when nonzero, receivers NACK the
+  // missing fragments of a partial message once its fragment stream has been
+  // quiet this long, instead of waiting for the sender's full-message RTO
+  // resend. 0 (the default) is the paper's library: whole-message resends.
+  sim::Duration mn_nack_delay_us = 0;
 
   // --- Simulated TCP (kernel-native) ---
   sim::Duration tcp_connect_cpu_us = 3000;  // socket/stream setup, per end

@@ -28,6 +28,8 @@ enum class EventKind : std::uint8_t {
   kRetransmit,
   kNackSent,
   kBulkFallback,
+  kNackReceived,
+  kGapSkip,
 };
 
 inline const char* event_kind_name(EventKind kind) {
@@ -58,6 +60,10 @@ inline const char* event_kind_name(EventKind kind) {
       return "NACK_SENT";
     case EventKind::kBulkFallback:
       return "BULK_FALLBACK";
+    case EventKind::kNackReceived:
+      return "NACK_RECEIVED";
+    case EventKind::kGapSkip:
+      return "GAP_SKIP";
   }
   return "?";
 }

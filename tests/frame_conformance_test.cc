@@ -8,8 +8,14 @@
 //      with the same shared functions the live endpoint uses.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <random>
+#include <string>
 
 #include "net/frame.h"
 #include "net/mochanet.h"
@@ -24,6 +30,34 @@ util::Buffer make_payload(std::size_t n, std::uint8_t seed = 1) {
   std::uint8_t v = seed;
   for (auto& b : buf) b = v++;
   return buf;
+}
+
+// Runs `decode` with the address space allowed to grow by at most 1 GiB;
+// exits 0 when it throws util::CodecError, 1 otherwise. A decoder that
+// sizes a buffer from a hostile count before checking it dies here instead
+// (bad_alloc or an allocator abort), whatever the host's memory and
+// overcommit policy.
+[[noreturn]] void decode_in_small_address_space(
+    const std::function<void()>& decode) {
+  std::size_t vm_kib = 0;
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) vm_kib = std::stoull(line.substr(7));
+  }
+  const rlim_t limit = (rlim_t{vm_kib} << 10) + (rlim_t{1} << 30);
+  const rlimit as{limit, limit};
+  setrlimit(RLIMIT_AS, &as);
+  try {
+    decode();
+  } catch (const util::CodecError&) {
+    std::_Exit(0);
+  }
+  std::_Exit(1);
+}
+
+void expect_rejected_without_allocating(const std::function<void()>& decode) {
+  EXPECT_EXIT(decode_in_small_address_space(decode),
+              testing::ExitedWithCode(0), "");
 }
 
 // --- 1. Round-trips ---
@@ -490,6 +524,31 @@ TEST(LockWireCodec, MsgTypeValuesAreDistinct) {
   EXPECT_EQ(static_cast<int>(replica::kGrant), 22);
 }
 
+// A NACK claiming more missing indices than its bytes can hold is
+// rejected before the decoder reserves room for them (n = 2^32-1 would be
+// a 16 GiB reservation).
+TEST(FrameCodec, NackCountBeyondFrameThrowsBeforeReserving) {
+  util::Buffer wire;
+  util::WireWriter writer(wire);
+  writer.u8(static_cast<std::uint8_t>(FrameType::kNack));
+  writer.u64(1);
+  writer.u32(0xFFFFFFFFu);
+  writer.u32(3);  // one index where 2^32-1 were claimed
+  expect_rejected_without_allocating([&] {
+    util::WireReader reader(wire);
+    decode_frame_type(reader);
+    decode_nack_frame(reader);
+  });
+
+  // The count that exactly fills the frame still decodes.
+  util::Buffer exact;
+  encode_nack_frame(exact, NackFrame{1, {4, 5}});
+  util::WireReader reader(exact);
+  ASSERT_EQ(decode_frame_type(reader), FrameType::kNack);
+  EXPECT_EQ(decode_nack_frame(reader).missing,
+            (std::vector<std::uint32_t>{4, 5}));
+}
+
 // --- 2. Fragmentation at MTU boundaries ---
 
 // Reassembles `frames` (encoded wire buffers) in the given order.
@@ -560,6 +619,36 @@ TEST(FrameCodec, MissingReportsUnreceivedIndices) {
   }
   EXPECT_FALSE(assembler.complete());
   EXPECT_EQ(assembler.missing(), (std::vector<std::uint32_t>{1, 3}));
+}
+
+// The assembler sizes its state from the first fragment's frag_count: a
+// count above kMaxFragments off the wire is a CodecError, not an
+// allocation (2^32-1 would be ~96 GiB of part slots).
+TEST(FrameCodec, AssemblerRejectsFragCountAboveMax) {
+  const util::Buffer chunk = make_payload(4);
+  expect_rejected_without_allocating([&] {
+    FragmentAssembler assembler;
+    assembler.add(DataFrame{1, 0, 0xFFFFFFFFu, 4, {}, chunk});
+  });
+  FragmentAssembler assembler;
+  EXPECT_THROW(assembler.add(DataFrame{1, 0, kMaxFragments + 1, 4, {}, chunk}),
+               util::CodecError);
+  EXPECT_THROW(assembler.add(DataFrame{1, 0, 0, 4, {}, chunk}),
+               util::CodecError);
+  // The limit itself is a valid message.
+  EXPECT_TRUE(assembler.add(DataFrame{1, 0, kMaxFragments, 4, {}, chunk}));
+  EXPECT_EQ(assembler.frag_count(), kMaxFragments);
+}
+
+// The sender side of the same limit: a message that would need more than
+// kMaxFragments fragments is refused instead of emitted.
+TEST(FrameCodec, FragmentMessageRefusesMoreThanMaxFragments) {
+  const util::Buffer at_limit(kMaxFragments);
+  EXPECT_EQ(fragment_message(1, 2, at_limit, /*max_chunk=*/1).size(),
+            kMaxFragments);
+  const util::Buffer over(kMaxFragments + 1);
+  EXPECT_THROW(fragment_message(1, 2, over, /*max_chunk=*/1),
+               std::length_error);
 }
 
 // --- 3. Sim-emitted frames decode with the shared (live-side) path ---

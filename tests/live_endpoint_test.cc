@@ -191,6 +191,36 @@ TEST(LiveEndpoint, MalformedDatagramsAreDropped) {
   EXPECT_TRUE(b.recv_for(4, 2'000'000).has_value());
 }
 
+// Counts off the wire that used to size allocations: a 23-byte DATA
+// datagram claiming 2^32-1 fragments, and a NACK claiming 2^32-1 missing
+// indices. The endpoint drops both and keeps delivering.
+TEST(LiveEndpoint, SurvivesHostileFragmentAndNackCounts) {
+  Endpoint b(2, 0);
+  RawPeer raw;
+  util::Buffer frags;
+  util::WireWriter frags_writer(frags);
+  frags_writer.u32(77);
+  util::Buffer frame;
+  net::encode_data_frame(frame, /*seq=*/1, /*frag_idx=*/0,
+                         /*frag_count=*/0xFFFFFFFFu, /*port=*/4, {});
+  frags_writer.raw(frame);
+  ASSERT_EQ(frags.size(), 23u);
+  raw.send_to(b.udp_port(), frags);
+
+  util::Buffer nack;
+  util::WireWriter nack_writer(nack);
+  nack_writer.u32(77);
+  nack_writer.u8(static_cast<std::uint8_t>(net::FrameType::kNack));
+  nack_writer.u64(1);
+  nack_writer.u32(0xFFFFFFFFu);
+  raw.send_to(b.udp_port(), nack);
+
+  raw.send_to(b.udp_port(), RawPeer::craft_data(77, 1, 4, make_payload(8)));
+  auto msg = b.recv_for(4, 2'000'000);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, make_payload(8));
+}
+
 // One lost fragment must be repaired by a receiver-side NACK (one fragment
 // resend after the stream goes quiet), not by the sender's full-message RTO:
 // the sender's initial RTO is set so large that a timeout-based recovery
@@ -270,8 +300,8 @@ TEST(LiveEndpoint, AdaptiveRtoConvergesBelowInitialOnLoopback) {
   Endpoint a(1, 0);
   // Immediate acks on the receiver: this test is about RTO estimation, and
   // a held ack would sit inside every RTT sample, leaving the converged RTO
-  // only ~min_rto_us above the sample — close enough that one sanitizer or
-  // scheduler hiccup causes a spurious retransmission and a flaky failure.
+  // only ~net::kMinRtoUs above the sample — close enough that one sanitizer
+  // or scheduler hiccup causes a spurious retransmission and a flaky failure.
   EndpointOptions receiver_opts;
   receiver_opts.ack_delay_us = 0;
   Endpoint b(2, 0, receiver_opts);
@@ -284,7 +314,7 @@ TEST(LiveEndpoint, AdaptiveRtoConvergesBelowInitialOnLoopback) {
   EXPECT_GT(a.peer_srtt_us(2), 0);
   EXPECT_LT(a.peer_srtt_us(2), 10'000);
   EXPECT_LT(a.peer_rto_us(2), a.options().rto_us);
-  EXPECT_GE(a.peer_rto_us(2), a.options().min_rto_us);
+  EXPECT_GE(a.peer_rto_us(2), net::kMinRtoUs);
   EXPECT_EQ(a.retransmissions(), 0u);
 }
 

@@ -258,7 +258,6 @@ TEST(MochaNet, SelectiveRetransmitRecoversUnderLoss) {
   lossy.mn_rto_us = 5000;
   lossy.mn_nack_delay_us = 500;
   lossy.mn_max_retries = 40;
-  lossy.mn_selective_retransmit = true;
   MochaNetFixture fx(std::move(lossy));
   const util::Buffer payload = make_payload(50000);
   util::Buffer got;
@@ -274,9 +273,8 @@ TEST(MochaNet, SelectiveAndFullModesDeliverIdenticalPayloads) {
     NetProfile lossy = NetProfile::lan();
     lossy.loss_rate = 0.1;
     lossy.mn_rto_us = 20000;
-    lossy.mn_nack_delay_us = 2000;
+    lossy.mn_nack_delay_us = selective ? 2000 : 0;
     lossy.mn_max_retries = 30;
-    lossy.mn_selective_retransmit = selective;
     MochaNetFixture fx(std::move(lossy));
     const util::Buffer payload = make_payload(30000, 3);
     util::Buffer got;

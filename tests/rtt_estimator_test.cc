@@ -1,12 +1,12 @@
-// Unit tests for the Jacobson/Karels RTT estimator (live/clock.h): SRTT /
+// Unit tests for the Jacobson/Karels RTT estimator (net/mochanet_core.h): SRTT /
 // RTTVAR convergence, RTO clamping, exponential backoff and its reset on a
 // fresh sample, and the closed-form backed-off retry schedule the receiver
 // uses to size its gap-skip window. Pure arithmetic — no sockets, no clock.
 #include <gtest/gtest.h>
 
-#include "live/clock.h"
+#include "net/mochanet_core.h"
 
-namespace mocha::live {
+namespace mocha::net {
 namespace {
 
 RttEstimator::Params fast_params() {
@@ -116,4 +116,4 @@ TEST(RttEstimator, RetryScheduleSurvivesShiftOverflow) {
 }
 
 }  // namespace
-}  // namespace mocha::live
+}  // namespace mocha::net

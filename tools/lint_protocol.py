@@ -12,9 +12,9 @@ Parses the two wire enums straight out of the source text —
      sharing a value alias on the wire; this bites only when the messages
      later share a port),
   2. every FrameType enumerator must be dispatched (``case FrameType::kX``)
-     by BOTH transport backends — src/net/mochanet.cc and
-     src/live/endpoint.cc — and exercised by name in
-     tests/frame_conformance_test.cc,
+     by the one MochaNet frame dispatcher, src/net/mochanet_core.cc (the
+     reliability core both the sim and the live endpoint run), and
+     exercised by name in tests/frame_conformance_test.cc,
   3. every MsgType enumerator must have at least one producer
      (``writer.u8(kX)``) and at least one consumer (``case kX`` or a
      ``reader.u8() ==/!= kX`` comparison) somewhere under src/,
@@ -52,8 +52,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FRAME_HEADER = "src/net/frame.h"
 WIRE_HEADER = "src/replica/wire.h"
 CONFORMANCE_TEST = "tests/frame_conformance_test.cc"
-# Both transport backends must dispatch every frame type.
-FRAME_DISPATCHERS = ["src/net/mochanet.cc", "src/live/endpoint.cc"]
+# The reliability core is the only frame dispatcher; the sim and live
+# endpoints are adapters around it and never look at a frame type.
+FRAME_DISPATCHERS = ["src/net/mochanet_core.cc"]
 # Rule 6 inputs: the shared event vocabulary, the human-facing metric
 # catalog, and the dashboard that scrapes the registry.
 EVENT_KIND_HEADER = "src/trace/event_kind.h"
@@ -116,8 +117,8 @@ def check_frame_types(files: dict[str, str], findings: list[str]) -> None:
             if not re.search(
                 rf"case\s+(?:net::)?FrameType::{name}\b", files[dispatcher]
             ):
-                # A frame type one backend emits but the other drops on the
-                # floor is a silent interop break.
+                # A frame type the core emits or decodes but never
+                # dispatches is dropped on the floor by both runtimes.
                 findings.append(
                     f"FrameType::{name} is not dispatched "
                     f"(no `case FrameType::{name}`) in {dispatcher}"
@@ -309,11 +310,11 @@ def self_test(files: dict[str, str]) -> int:
             "expected the real tree to be clean, got: " + "; ".join(clean)
         )
 
-    # An undispatched frame type must be flagged in both backends and the
-    # conformance test: three findings.
+    # An undispatched frame type must be flagged in the dispatcher and the
+    # conformance test: two findings.
     broken = mutate(files, FRAME_HEADER, "kDataAck = 3", "kDataAck = 3,\n  kBogus = 9")
     found = run_lint(broken)
-    if sum("kBogus" in f for f in found) != 3:
+    if sum("kBogus" in f for f in found) != 1 + len(FRAME_DISPATCHERS):
         failures.append(f"undispatched FrameType not fully flagged: {found}")
 
     # A duplicated enum value must be flagged (this caught a real
@@ -447,12 +448,15 @@ def self_test(files: dict[str, str]) -> int:
     if not any("phantom_retx" in f and "read zeros" in f for f in found):
         failures.append(f"scraped-but-unproduced metric not flagged: {found}")
 
-    # Removing a dispatcher case must be flagged for that backend.
+    # Removing a dispatcher case from the core must be flagged.
     broken = mutate(
-        files, "src/net/mochanet.cc", "case FrameType::kNack", "case kNackGone"
+        files,
+        "src/net/mochanet_core.cc",
+        "case FrameType::kNack",
+        "case kNackGone",
     )
     found = run_lint(broken)
-    if not any("kNack" in f and "mochanet.cc" in f for f in found):
+    if not any("kNack" in f and "mochanet_core.cc" in f for f in found):
         failures.append(f"missing dispatcher case not flagged: {found}")
 
     if failures:

@@ -258,7 +258,7 @@ mocha::live::EndpointOptions make_endpoint_options(const Args& args,
     // The PR 1 transport: fixed RTO, whole-message resend only, every ack
     // standalone and immediate.
     opts.adaptive_rto = false;
-    opts.selective_nack = false;
+    opts.nack_delay_us = 0;
     opts.ack_delay_us = 0;
   }
   return opts;
