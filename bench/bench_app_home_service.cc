@@ -78,7 +78,7 @@ AppCosts measure_app_costs(
     // sending daemon serialized for this transfer.
     auto& site = *mocha.replica_runtime();
     const sim::Time t0 = world.sched.now();
-    util::Buffer bundle = site.marshal_bundle(site.lock_local(1));
+    util::Buffer bundle = site.daemon().encode(1);
     costs.marshal_ms = sim::to_ms(world.sched.now() - t0);
     benchmark::DoNotOptimize(bundle);
   });

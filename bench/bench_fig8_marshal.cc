@@ -20,7 +20,7 @@ double marshal_ms(std::size_t bytes, const serial::MarshalCostModel& model) {
     lk.associate(r);
     auto& site = *mocha.replica_runtime();
     const sim::Time t0 = world.sched.now();
-    util::Buffer bundle = site.marshal_bundle(site.lock_local(1));
+    util::Buffer bundle = site.daemon().encode(1);
     elapsed_ms = sim::to_ms(world.sched.now() - t0);
     benchmark::DoNotOptimize(bundle);
   });

@@ -158,6 +158,15 @@ void Endpoint::add_peer(net::NodeId peer, const std::string& host,
   peer_state(peer).addr = addr;
 }
 
+void Endpoint::add_peer(net::NodeId peer, PeerAddr addr) {
+  sockaddr_in sin{};
+  sin.sin_family = AF_INET;
+  sin.sin_addr.s_addr = addr.ipv4;
+  sin.sin_port = htons(addr.port);
+  util::MutexLock lock(mu_);
+  peer_state(peer).addr = sin;
+}
+
 bool Endpoint::knows_peer(net::NodeId peer) const {
   util::MutexLock lock(mu_);
   return peers_.contains(peer);
@@ -188,12 +197,30 @@ net::MochaNetCore::Counters Endpoint::counters() const {
 }
 
 void Endpoint::send(net::NodeId dst, net::Port port, util::Buffer payload) {
-  (void)send_sync(dst, port, std::move(payload), /*timeout_us=*/0);
+  (void)transmit(dst, port, std::move(payload), /*wait=*/false, nullptr);
 }
 
-util::Status Endpoint::send_sync(net::NodeId dst, net::Port port,
-                                 util::Buffer payload,
-                                 std::int64_t timeout_us) {
+void Endpoint::send_tracked(net::NodeId dst, net::Port port,
+                            util::Buffer payload, SendDone done) {
+  (void)transmit(dst, port, std::move(payload), /*wait=*/false,
+                 std::move(done));
+}
+
+void Endpoint::deliver_local(net::NodeId src, net::Port port,
+                             util::Buffer payload) {
+  bool handled = false;
+  {
+    util::MutexLock lock(mu_);
+    deliver(src, port, std::move(payload));
+    handled = port_queue(port).handled;
+  }
+  // A handled port's delivery waits in dispatch_ for the end of an event.
+  if (handled) reactor_.post([this] { finish_event(); });
+}
+
+std::uint64_t Endpoint::transmit(net::NodeId dst, net::Port port,
+                                 util::Buffer payload, bool wait,
+                                 SendDone done) {
   std::uint64_t seq = 0;
   bool one_datagram = false;
   {
@@ -210,7 +237,8 @@ util::Status Endpoint::send_sync(net::NodeId dst, net::Port port,
     // flush right below.
     one_datagram = tx_queue_.size() - queued == 1;
     if (one_datagram) core_.sent(now, dst, seq);
-    if (timeout_us > 0) waiters_.try_emplace({dst, seq});
+    if (wait) waiters_.try_emplace({dst, seq});
+    if (done) tracked_.emplace(std::pair{dst, seq}, std::move(done));
   }
   flush_tx();
   if (!one_datagram) {
@@ -223,7 +251,14 @@ util::Status Endpoint::send_sync(net::NodeId dst, net::Port port,
   } else {
     reactor_.post([this] { arm_timer(); });
   }
+  return seq;
+}
 
+util::Status Endpoint::send_sync(net::NodeId dst, net::Port port,
+                                 util::Buffer payload,
+                                 std::int64_t timeout_us) {
+  const std::uint64_t seq =
+      transmit(dst, port, std::move(payload), timeout_us > 0, nullptr);
   if (timeout_us <= 0) return util::Status::ok();  // asynchronous send
 
   util::MutexLock lock(mu_);
@@ -288,10 +323,13 @@ void Endpoint::finish_event() {
   // sender's ack back past its RTO. Handlers' own sends flush themselves.
   flush_tx();
   std::vector<Message> batch;
+  std::vector<std::pair<SendDone, bool>> outcomes;
   {
     util::MutexLock lock(mu_);
     batch.swap(dispatch_);
+    outcomes.swap(tracked_done_);
   }
+  for (auto& [done, acked] : outcomes) done(acked);
   for (Message& msg : batch) {
     auto it = port_handlers_.find(msg.port);
     if (it != port_handlers_.end()) {
@@ -517,13 +555,24 @@ void Endpoint::acked(net::NodeId dst, std::uint64_t seq,
   peer_state(dst).tm_rto_us->set(core_.rto_us(dst));
   auto it = waiters_.find({dst, seq});
   if (it != waiters_.end()) it->second = true;
+  finish_tracked(dst, seq, true);
   ack_cv_.notify_all();
 }
 
 void Endpoint::failed(net::NodeId dst, std::uint64_t seq) {
   auto it = waiters_.find({dst, seq});
   if (it != waiters_.end()) it->second = false;
+  finish_tracked(dst, seq, false);
   ack_cv_.notify_all();
+}
+
+void Endpoint::finish_tracked(net::NodeId dst, std::uint64_t seq,
+                              bool acked) {
+  if (tracked_.empty()) return;
+  auto it = tracked_.find({dst, seq});
+  if (it == tracked_.end()) return;
+  tracked_done_.emplace_back(std::move(it->second), acked);
+  tracked_.erase(it);
 }
 
 void Endpoint::on_event(const Event& event) {

@@ -92,6 +92,9 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
     util::Buffer payload;
   };
   using PortHandler = std::function<void(Message)>;
+  // The outcome of a tracked send: the peer's transport ack (true) or
+  // retries exhausted (false).
+  using SendDone = std::function<void(bool acked)>;
 
   // Binds a UDP socket on `udp_port` (0 picks a free port; see udp_port())
   // and starts the loop thread. Throws std::system_error on socket failure.
@@ -115,12 +118,14 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
   // UDP address of `peer` as currently known — configured via add_peer() or
   // learned from the datagram envelope. ipv4 is in network byte order, port
   // in host order. nullopt when the peer was never registered or heard from.
-  // The lock server answers kResolveNode queries from this table.
+  // The lock server puts a requester's address into each transfer directive
+  // from this table.
   struct PeerAddr {
     std::uint32_t ipv4 = 0;
     std::uint16_t port = 0;
   };
   std::optional<PeerAddr> peer_addr(net::NodeId peer) const EXCLUDES(mu_);
+  void add_peer(net::NodeId peer, PeerAddr addr) EXCLUDES(mu_);
 
   // Reliable, sequenced send. Returns after fragmentation + first
   // transmission; delivery is guaranteed by background retransmission while
@@ -136,6 +141,18 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
   util::Status send_sync(net::NodeId dst, net::Port port,
                          util::Buffer payload, std::int64_t timeout_us)
       MOCHA_BLOCKING EXCLUDES(mu_);
+
+  // Like send(); `done` then runs on the loop thread, with the endpoint's
+  // lock released, once the peer acked the message or its retries ran out —
+  // the nonblocking form of send_sync's failure detection. It never runs if
+  // the endpoint is destroyed first.
+  void send_tracked(net::NodeId dst, net::Port port, util::Buffer payload,
+                    SendDone done) MOCHA_REACTOR_SAFE EXCLUDES(mu_);
+
+  // Delivers a message that reached this node by another channel (the TCP
+  // bulk leg) to `port`, as if it had arrived here.
+  void deliver_local(net::NodeId src, net::Port port, util::Buffer payload)
+      MOCHA_REACTOR_SAFE EXCLUDES(mu_);
 
   // Blocks until every reliably-sent message has been acked or has exhausted
   // its retries — the pre-exit linger: a process that fire-and-forgets its
@@ -229,6 +246,9 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
              std::int64_t latency_us) override REQUIRES(mu_);
   void failed(net::NodeId dst, std::uint64_t seq) override REQUIRES(mu_);
   void on_event(const Event& event) override REQUIRES(mu_);
+  // Moves a tracked send's callback to tracked_done_ with its outcome.
+  void finish_tracked(net::NodeId dst, std::uint64_t seq, bool acked)
+      REQUIRES(mu_);
 
   // --- Loop thread (analyzer-enforced) ---
   void on_readable() MOCHA_REACTOR_ONLY EXCLUDES(mu_);  // socket handler
@@ -247,6 +267,10 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
       EXCLUDES(mu_);
   void release_netem(std::int64_t now_us) MOCHA_REACTOR_ONLY EXCLUDES(mu_);
 
+  // The shared send path: registers a send_sync waiter (`wait`) and/or a
+  // tracked-send callback before the first transmission; returns the seq.
+  std::uint64_t transmit(net::NodeId dst, net::Port port, util::Buffer payload,
+                         bool wait, SendDone done) EXCLUDES(mu_);
   net::MochaNetCore::Counters counters() const EXCLUDES(mu_);
   // Looks up or creates the peer slot.
   PeerState& peer_state(net::NodeId peer) REQUIRES(mu_);
@@ -283,6 +307,11 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
   // outstanding, then whether it was acked.
   std::map<std::pair<net::NodeId, std::uint64_t>, std::optional<bool>>
       waiters_ GUARDED_BY(mu_);
+  // send_tracked() callbacks by (dst, seq), and those whose outcome is in,
+  // run at the end of the loop event.
+  std::map<std::pair<net::NodeId, std::uint64_t>, SendDone> tracked_
+      GUARDED_BY(mu_);
+  std::vector<std::pair<SendDone, bool>> tracked_done_ GUARDED_BY(mu_);
   std::map<net::Port, std::unique_ptr<PortQueue>> delivered_
       GUARDED_BY(mu_);
 

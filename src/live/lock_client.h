@@ -1,28 +1,17 @@
-// live::LockClient — the application-thread side of the entry-consistency
-// lock protocol over real sockets (the wall-clock twin of
-// replica::ReplicaLock::lock()/unlock()).
+// live::LockClient — the application-thread side of the lock protocol over
+// real sockets: the live adapter around replica::LockClientCore (the rules
+// the sim's ReplicaLock runs too), adding endpoint ports, shard routing and
+// wall-clock waits.
 //
-// Speaks the exact kAcquireLock / kReleaseLock / kRegisterLock / kGrant
-// messages from replica/wire.h against a live::LockServer. When a
-// DaemonService is attached, a NEED_NEW_VERSION grant triggers a pull-based
-// replica transfer (paper §3: replicas are made consistent exactly when
-// their lock is acquired):
-//
-//   1. the grant names the last owner (GrantMsg.transfer_from);
-//   2. the client resolves that node's UDP address through the server
-//      (kResolveNode/kNodeAddr) if the endpoint has never heard from it;
-//   3. it sends the §6 kTransferReplica directive to the owner's daemon,
-//      which ships the replica bundle to this node's kDaemonDataPort;
-//   4. acquire() blocks until the daemon has applied the target version.
-//
-// If the promised transfer never arrives, the pull is retried once against
-// the home daemon (the lock server's site), accepting whatever version it
-// holds — the §4 weakened-consistency fallback. A second miss fails the
-// acquire with a typed kTimeout (the lock is NOT released locally: the
-// server's lease breaker owns cleanup, same as the sim).
-//
-// Without a daemon the old PR-1 behavior is preserved: the client adopts
-// the version number and no data moves.
+// With a DaemonService attached, a NEED_NEW_VERSION grant is followed by the
+// transfer the lock server directs (paper §3, Fig 7): a daemon sends the
+// bundle straight to this lock's data port, and acquire() applies it before
+// returning — a weakened forward (§4) included, counted in
+// transfer_retries(). If none lands within transfer_timeout_us, acquire()
+// fails with kTimeout and does not release (the server's lease breaker owns
+// cleanup, as in the sim). The first acquire of each lock registers the
+// daemon's bulk contact. Without a daemon the client asks for no data and
+// adopts the version number.
 //
 // Not thread-safe: one LockClient serves one application thread, matching
 // the per-thread grant/data reply ports of the paper's design.
@@ -34,6 +23,7 @@
 #include "live/daemon.h"
 #include "live/endpoint.h"
 #include "live/shard_map.h"
+#include "replica/lock_client_core.h"
 #include "replica/wire.h"
 #include "util/analysis_annotations.h"
 
@@ -41,9 +31,9 @@ namespace mocha::live {
 
 struct LockClientOptions {
   std::int64_t grant_timeout_us = 10'000'000;
-  // Wait for a promised replica transfer before retrying / failing. Applied
-  // per attempt (direct pull, then home-daemon retry).
-  std::int64_t transfer_timeout_us = 2'000'000;
+  // Wait for the replica transfer a NEED_NEW_VERSION grant promises, the
+  // server's poll-and-redirect included, before failing with kTimeout.
+  std::int64_t transfer_timeout_us = 4'000'000;
   // First per-lock grant/data reply port (runtime::ports::kAppBase). Give
   // each LockClient sharing one endpoint a disjoint range.
   net::Port reply_port_base = 1000;
@@ -63,9 +53,9 @@ class LockClient {
              LockClientOptions opts = {}, DaemonService* daemon = nullptr);
 
   // Sharded routing (docs/PROTOCOL.md §9): with a shard map installed,
-  // every per-lock message (acquire/release/register/resolve and the
-  // home-daemon retry) goes to the shard owning that lock id; without one,
-  // everything goes to the bootstrap `server` (single-shard deployments).
+  // every per-lock message (acquire/release/register) goes to the shard
+  // owning that lock id; without one, everything goes to the bootstrap
+  // `server` (single-shard deployments).
   void set_shard_map(ShardMap map) { shard_map_ = std::move(map); }
   const ShardMap& shard_map() const { return shard_map_; }
 
@@ -74,8 +64,9 @@ class LockClient {
   // as a peer, and installs the map. kTimeout when no reply arrived.
   util::Status fetch_shard_map(std::int64_t timeout_us) MOCHA_BLOCKING;
 
-  // Registers this site as a holder of `lock_id` with the owning shard
-  // (fire-and-forget; acquire() also registers implicitly).
+  // Registers this site as a holder of `lock_id` with the owning shard,
+  // with the daemon's bulk contact (fire-and-forget; acquire() registers
+  // implicitly too, and does so explicitly once when a daemon is attached).
   void register_lock(replica::LockId lock_id);
 
   // Acquires `lock_id`; blocks until the GRANT arrives and — for
@@ -84,14 +75,14 @@ class LockClient {
   // detector; 0 uses replica::kDefaultExpectedHoldUs.
   // Errors: kRejected (this site was blacklisted after a broken lock),
   // kTimeout (no grant within grant_timeout, or the promised transfer never
-  // arrived after the home-daemon retry).
+  // arrived within transfer_timeout).
   util::Status acquire(
       replica::LockId lock_id,
       replica::LockWireMode mode = replica::LockWireMode::kExclusive,
       std::int64_t expected_hold_us = 0) MOCHA_BLOCKING;
 
   // Releases a held lock; exclusive releases publish version + 1 (stamped
-  // into the attached daemon first, so later pulls see it).
+  // into the attached daemon first, so later transfers serve it).
   util::Status release(replica::LockId lock_id) MOCHA_BLOCKING;
 
   bool held(replica::LockId lock_id) const;
@@ -104,33 +95,23 @@ class LockClient {
 
   std::uint64_t acquires() const { return acquires_; }
   std::uint64_t releases() const { return releases_; }
-  // Replica pulls completed on acquire / retried against the home daemon /
-  // failed outright (typed-timeout acquires).
+  // Replica transfers completed on acquire / of those, weakened forwards
+  // (older than the GRANT's version, §4) / acquires failed by a transfer
+  // that never landed (typed timeouts).
   std::uint64_t transfers_pulled() const { return transfers_pulled_; }
   std::uint64_t transfer_retries() const { return transfer_retries_; }
   std::uint64_t transfer_timeouts() const { return transfer_timeouts_; }
 
  private:
-  struct LockLocal {
-    bool held = false;
-    bool shared = false;
-    replica::Version version = 0;
-    net::Port grant_port = 0;
-    net::Port data_port = 0;
-    std::uint64_t nonce = 0;  // of the acquire that holds the lock
+  struct Lock : replica::ClientLock {
+    bool registered = false;  // the daemon's contact is with the shard
   };
 
-  LockLocal& local(replica::LockId lock_id);
+  Lock& local(replica::LockId lock_id);
   // Shard owning `lock_id` — the bootstrap server when no map is installed.
   net::NodeId home_for(replica::LockId lock_id) const;
-  // The NEED_NEW_VERSION pull path; see the file comment for the protocol.
-  util::Status pull_replica(replica::LockId lock_id, const LockLocal& lk,
-                            const replica::GrantMsg& grant);
-  // Makes `node` sendable, asking shard `via` for its address if needed.
-  bool ensure_peer(net::NodeId node, net::NodeId via, net::Port reply_port,
-                   std::int64_t timeout_us);
-  void send_pull_directive(net::NodeId owner, replica::LockId lock_id,
-                           replica::Version version);
+  // Waits on the lock's data port for the directed transfer and applies it.
+  util::Status await_transfer(Lock& lk, net::NodeId owner) MOCHA_BLOCKING;
 
   Endpoint& endpoint_;
   net::NodeId server_;
@@ -138,10 +119,10 @@ class LockClient {
   LockClientOptions opts_;
   DaemonService* daemon_;
   Clock* clock_;
-  std::map<replica::LockId, LockLocal> locks_;
+  replica::LockClientCore core_;
+  std::map<replica::LockId, Lock> locks_;
   // Per-thread reply ports, mirroring runtime::ports::kAppBase.
   net::Port next_port_;
-  std::uint64_t nonce_;
   std::int64_t last_grant_latency_us_ = 0;
   std::uint64_t acquires_ = 0;
   std::uint64_t releases_ = 0;

@@ -1,5 +1,7 @@
 #include "live/lock_server.h"
 
+#include <stdexcept>
+
 #include "util/log.h"
 
 namespace mocha::live {
@@ -29,6 +31,7 @@ void LockServer::set_shard_map(ShardMap map) { shard_map_ = std::move(map); }
 
 void LockServer::start() {
   if (running_.exchange(true)) return;
+  alive_ = std::make_shared<bool>(true);
   if (shard_map_.empty()) {
     // Single-shard default: advertise this endpoint as the whole directory.
     // ipv4 = 0 tells clients to keep their bootstrap route to this node.
@@ -52,6 +55,11 @@ void LockServer::stop() {
     dir_.for_each_active([this](const LockHold& hold) {
       endpoint_.reactor().cancel(hold.lease);
     });
+    for (const auto& [id, timer] : poll_timers_) {
+      endpoint_.reactor().cancel(timer);
+    }
+    poll_timers_.clear();
+    alive_.reset();  // outcomes of directives and polls still in flight
   });
 }
 
@@ -90,25 +98,6 @@ void LockServer::handle(Endpoint::Message msg) {
   try {
     util::WireReader reader(msg.payload);
     switch (reader.u8()) {
-      case replica::kResolveNode: {
-        // Peer discovery for direct daemon→daemon pulls: this endpoint has
-        // heard from every client (their acquires arrive here), so its peer
-        // table can introduce any two of them to each other.
-        const auto query = replica::ResolveNodeMsg::decode(reader);
-        replica::NodeAddrMsg answer;
-        answer.node = query.node;
-        if (auto addr = endpoint_.peer_addr(query.node); addr.has_value()) {
-          answer.ipv4 = addr->ipv4;
-          answer.udp_port = addr->port;
-          answer.known = 1;
-        }
-        util::Buffer reply;
-        answer.encode(reply);
-        endpoint_.send(msg.src, query.reply_port, std::move(reply));
-        util::MutexLock guard(mu_);
-        ++stats_.resolves;
-        break;
-      }
       case replica::kShardMapRequest:
         handle_shard_map_request(msg.src, reader);
         break;
@@ -179,6 +168,81 @@ void LockServer::cancel_lease(const LockHold& hold) {
 void LockServer::confirm_owner(const LockHold& hold) {
   dir_.owner_confirmed(Clock::monotonic().now_us(), hold.lock_id, hold.site,
                        hold.nonce, /*alive=*/false);
+}
+
+void LockServer::transfer_needed(const replica::TransferDirective& directive) {
+  replica::TransferReplicaMsg msg = directive.msg;
+  if (const auto addr = endpoint_.peer_addr(msg.dst_site)) {
+    msg.dst_ipv4 = addr->ipv4;
+    msg.dst_udp_port = addr->port;
+  }
+  util::Buffer wire;
+  msg.encode(wire);
+  const bool sent = send_to_daemon(
+      directive.daemon, std::move(wire), [this, id = directive.id](bool acked) {
+        const std::int64_t now = Clock::monotonic().now_us();
+        acked ? dir_.transfer_delivered(now, id) : dir_.transfer_failed(now, id);
+      });
+  // A daemon this endpoint never heard from cannot be reached: presumed dead.
+  if (!sent) dir_.transfer_failed(Clock::monotonic().now_us(), directive.id);
+}
+
+void LockServer::send_poll(std::uint64_t transfer_id, net::NodeId daemon,
+                           const replica::PollVersionMsg& poll) {
+  util::Buffer wire;
+  poll.encode(wire);
+  // An unknown daemon is left to the window's deadline.
+  (void)send_to_daemon(daemon, std::move(wire), [=, this](bool acked) {
+    if (!acked) {
+      dir_.poll_failed(Clock::monotonic().now_us(), transfer_id, daemon);
+    }
+  });
+}
+
+void LockServer::poll_window(std::uint64_t transfer_id) {
+  // By the endpoint's retry schedule every poll has been acked or has
+  // failed; a daemon that acks but never reports is waited for no longer.
+  poll_timers_[transfer_id] = endpoint_.reactor().call_after(
+      endpoint_.retry_schedule_us(), [this, transfer_id] {
+        poll_timers_.erase(transfer_id);
+        dir_.poll_window_closed(Clock::monotonic().now_us(), transfer_id);
+      });
+}
+
+void LockServer::transfer_step(replica::TransferStep step,
+                               const replica::TransferDirective& directive,
+                               replica::Version /*lock_version*/) {
+  static constexpr const char* kWhat[] = {
+      "did not ack; polling survivors", "did not ack",
+      "serves an older version (weakened)",
+      "was the last candidate; transfer lost"};
+  MOCHA_WARN("live") << "lock " << directive.msg.lock_id << " transfer to "
+                     << directive.msg.dst_site << ": daemon "
+                     << directive.daemon << " "
+                     << kWhat[static_cast<int>(step)];
+  if (step == replica::TransferStep::kOwnerFailed ||
+      step == replica::TransferStep::kRedirectFailed) {
+    FlightRecorder::record(trace::EventKind::kFailureDetected,
+                           endpoint_.node(), directive.daemon,
+                           directive.msg.lock_id, 0);
+  }
+}
+
+bool LockServer::send_to_daemon(net::NodeId daemon, util::Buffer msg,
+                                std::function<void(bool acked)> done) {
+  try {
+    endpoint_.send_tracked(
+        daemon, replica::kDaemonPort, std::move(msg),
+        [this, alive = std::weak_ptr<bool>(alive_),
+         done = std::move(done)](bool acked) {
+          if (alive.expired()) return;  // stopped meanwhile
+          done(acked);
+          publish_stats();
+        });
+    return true;
+  } catch (const std::logic_error&) {
+    return false;
+  }
 }
 
 void LockServer::trace(const replica::LockEvent& event) {

@@ -12,19 +12,23 @@
 // its own endpoint, each owning the lock ids its ShardMap assigns it. The
 // server answers kShardMapRequest with the full map so clients can route;
 // with no map configured it serves everything (single-shard, wire-
-// compatible with pre-shard clients). It also answers kResolveNode address
-// queries, so two clients that never exchanged a datagram find each other.
+// compatible with pre-shard clients).
 //
-// The §4 steps done here: an expired lease is confirmed "dead" at once (no
-// heartbeat yet), so the core breaks the lock and blacklists the owner for
-// good. "Transfer needed" is ignored: a NEED_NEW_VERSION grant names the
-// last owner (GrantMsg.transfer_from), and the client pulls the bundle from
-// that site's daemon (live::DaemonService). Not yet live (docs/PROTOCOL.md
-// §8): poll-and-redirect, the heartbeat, and the durable-record log.
+// The §4 steps done here: "transfer needed" sends the directive to the
+// last owner's daemon in the same loop event as the GRANT, with the
+// requester's address (from this endpoint's peer table). Its transport ack
+// is delivery and a send whose retries run out is the failure detector, as
+// send_sync is in the sim; the core then polls and redirects, the window
+// capped at the endpoint's retry schedule. An expired lease is confirmed
+// "dead" at once (no heartbeat yet), so the core breaks the lock and
+// blacklists the owner for good. Not yet live (docs/PROTOCOL.md §8): the
+// heartbeat and the durable-record log.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "live/endpoint.h"
@@ -44,10 +48,11 @@ struct LockServerOptions {
   std::uint32_t shard_id = 0;
 };
 
-// MOCHA_REACTOR_SAFE (class-level): the port handler and reactor timers may
-// capture `this` because teardown is ordered — ~LockServer calls stop(),
-// which unregisters the handler and cancels every lease timer on the loop
-// thread before any member is destroyed.
+// MOCHA_REACTOR_SAFE (class-level): the port handler, reactor timers and
+// tracked sends may capture `this` because teardown is ordered —
+// ~LockServer calls stop(), which unregisters the handler, cancels every
+// lease and poll timer and expires the token tracked-send outcomes check,
+// all on the loop thread, before any member is destroyed.
 class MOCHA_REACTOR_SAFE LockServer : private replica::LockDirectorySink {
  public:
   struct Stats {
@@ -56,7 +61,6 @@ class MOCHA_REACTOR_SAFE LockServer : private replica::LockDirectorySink {
     std::uint64_t releases = 0;
     std::uint64_t locks_broken = 0;
     std::uint64_t registrations = 0;
-    std::uint64_t resolves = 0;  // kResolveNode address queries answered
     std::uint64_t shard_map_requests = 0;
     // Gauges: current queue depth / lease population of this shard.
     std::uint64_t queued_waiters = 0;
@@ -106,6 +110,21 @@ class MOCHA_REACTOR_SAFE LockServer : private replica::LockDirectorySink {
   // No heartbeat path yet: an expired lease is answered "dead" at once.
   void confirm_owner(const replica::LockHold& hold) MOCHA_REACTOR_ONLY
       override;
+  void transfer_needed(const replica::TransferDirective& directive)
+      MOCHA_REACTOR_ONLY override;
+  void send_poll(std::uint64_t transfer_id, net::NodeId daemon,
+                 const replica::PollVersionMsg& poll) MOCHA_REACTOR_ONLY
+      override;
+  void poll_window(std::uint64_t transfer_id) MOCHA_REACTOR_ONLY override;
+  void transfer_step(replica::TransferStep step,
+                     const replica::TransferDirective& directive,
+                     replica::Version lock_version) MOCHA_REACTOR_ONLY
+      override;
+  // A tracked send to `daemon`'s daemon port; `done` gets the transport
+  // outcome unless the server stopped first. False for an unknown daemon.
+  bool send_to_daemon(net::NodeId daemon, util::Buffer msg,
+                      std::function<void(bool acked)> done)
+      MOCHA_REACTOR_ONLY;
   void trace(const replica::LockEvent& event) MOCHA_REACTOR_ONLY
       EXCLUDES(mu_) override;
 
@@ -115,9 +134,13 @@ class MOCHA_REACTOR_SAFE LockServer : private replica::LockDirectorySink {
 
   // Owned exclusively by the loop thread while the server runs (never
   // touched from other threads, so no capability guards it; start() and
-  // stop() hand over through the loop's own queue).
+  // stop() hand over through the loop's own queue): the directory, the
+  // map, each open poll window's timer, and the token tracked-send
+  // outcomes hold weakly (expired by stop()).
   replica::LockDirectory dir_;
   ShardMap shard_map_;
+  std::map<std::uint64_t, Reactor::TimerId> poll_timers_;
+  std::shared_ptr<bool> alive_;
 
   mutable util::Mutex mu_;
   // Cross-thread observable state: the loop thread publishes, stats() /

@@ -101,8 +101,9 @@ class MOCHA_REACTOR_SAFE TcpBulkChannel {
   std::uint16_t contact_port() const { return tcp_port_; }
 
   // Queues one bundle for (dst, port) through dst's listener at `contact`
-  // (its BULK-HELLO tcp_port) and runs `done` exactly once with the outcome
-  // (see the file comment) — inline when the send fails at once.
+  // (the TCP port its registration advertised) and runs `done` exactly once
+  // with the outcome (see the file comment) — inline when the send fails at
+  // once.
   void send_bundle(net::NodeId dst, std::uint16_t contact, net::Port port,
                    util::Buffer payload, std::int64_t timeout_us,
                    Done done) MOCHA_REACTOR_ONLY;

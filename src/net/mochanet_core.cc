@@ -144,8 +144,12 @@ void MochaNetCore::on_nack(std::int64_t now_us, NodeId src,
   auto it = outstanding_.find({src, nack.seq});
   if (it != outstanding_.end()) {
     Outstanding& out = it->second;
+    // Each index at most once: one datagram can repeat an index hundreds of
+    // times, and every copy would otherwise resend a whole fragment.
+    std::vector<bool> resent_idx(out.frames.size());
     for (std::uint32_t idx : nack.missing) {
-      if (idx >= out.frames.size()) continue;
+      if (idx >= out.frames.size() || resent_idx[idx]) continue;
+      resent_idx[idx] = true;
       sink_.send_frame(src, out.frames[idx]);
       ++resent;
     }

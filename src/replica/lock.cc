@@ -33,11 +33,9 @@ ReplicaLock::ReplicaLock(LockId lock_id, runtime::Mocha& mocha)
     // with the synchronization thread.
     local_.grant_port = mocha_.alloc_reply_port();
     local_.data_port = mocha_.alloc_reply_port();
-    util::Buffer msg;
-    RegisterLockMsg{id_, site_.site()}.encode(msg);
     site_.system().endpoint(site_.site()).send(site_.sync_site(),
                                                runtime::ports::kSync,
-                                               std::move(msg));
+                                               site_.client().register_msg(id_));
   }
 }
 
@@ -93,35 +91,25 @@ util::Status ReplicaLock::lock_internal(sim::Duration expected_hold,
   while (endpoint.recv_for(local_.data_port, 0).has_value()) {
   }
 
-  // A fresh nonce per ACQUIRE: grants echoing any other nonce are stale
-  // (e.g. from a partitioned previous sync incarnation) and are discarded.
-  std::uint64_t nonce = 0;
+  LockClientCore& client = site_.client();
   auto send_acquire = [&](runtime::SiteId sync_site) {
-    nonce = site_.next_nonce();
-    AcquireLockMsg msg;
-    msg.lock_id = id_;
-    msg.site = site_.site();
-    msg.grant_port = local_.grant_port;
-    msg.data_port = local_.data_port;
-    msg.expected_hold_us =
-        expected_hold != 0 ? expected_hold : opts.default_expected_hold;
-    msg.mode = shared ? LockWireMode::kShared : LockWireMode::kExclusive;
-    msg.nonce = nonce;
-    util::Buffer request;
-    msg.encode(request);
-    endpoint.send(sync_site, runtime::ports::kSync, std::move(request));
+    endpoint.send(
+        sync_site, runtime::ports::kSync,
+        client.acquire(local_,
+                       shared ? LockWireMode::kShared
+                              : LockWireMode::kExclusive,
+                       expected_hold != 0 ? expected_hold
+                                          : opts.default_expected_hold));
   };
-  auto await_grant = [&]() -> std::optional<net::MochaNetEndpoint::Message> {
+  GrantMsg granted;
+  auto await_grant = [&]() -> std::optional<LockClientCore::Grant> {
     const sim::Time deadline = system.scheduler().now() + opts.grant_timeout;
     while (system.scheduler().now() < deadline) {
       auto msg = endpoint.recv_for(local_.grant_port,
                                    deadline - system.scheduler().now());
       if (!msg.has_value()) return std::nullopt;
-      util::WireReader peek(msg->payload);
-      if (peek.u8() != kGrant) continue;
-      peek.u32();  // lock id
-      if (peek.u64() != nonce) continue;  // stale grant: discard
-      return msg;
+      const auto answer = client.on_grant(local_, msg->payload, &granted);
+      if (answer != LockClientCore::Grant::kStale) return answer;
     }
     return std::nullopt;
   };
@@ -152,20 +140,15 @@ util::Status ReplicaLock::lock_internal(sim::Duration expected_hold,
   }
   local_.last_grant_latency = system.scheduler().now() - t_request;
   local_.last_transfer_latency = 0;
-  util::WireReader reader(grant->payload);
-  reader.u8();  // kGrant (validated by await_grant)
-  const GrantMsg granted = GrantMsg::decode(reader);
-  const Version version = granted.version;
-  const GrantFlag flag = granted.flag;
   local_.holders.assign(granted.holders.begin(), granted.holders.end());
 
-  if (flag == GrantFlag::kRejected) {
+  if (*grant == LockClientCore::Grant::kRejected) {
     return fail(util::Status(
         util::StatusCode::kRejected,
         "site is blacklisted after a broken lock (failed while owning)"));
   }
 
-  if (flag == GrantFlag::kNeedNewVersion) {
+  if (*grant == LockClientCore::Grant::kTransfer) {
     // A daemon (the last owner's, or a poll-selected survivor) transfers the
     // replicas directly into this thread's address space.
     const sim::Time t_grant = system.scheduler().now();
@@ -177,18 +160,10 @@ util::Status ReplicaLock::lock_internal(sim::Duration expected_hold,
                                    ": replica transfer never arrived (" +
                                    data.status().to_string() + ")"));
     }
-    util::WireReader data_reader(data.value().payload);
-    data_reader.u32();  // lock id
-    const Version data_version = data_reader.u64();
-    site_.unmarshal_bundle(data_reader.raw(data_reader.remaining()));
-    local_.version = data_version;
+    site_.daemon().apply(data.value().payload);  // a stale one changes nothing
+    client.on_transfer(local_, site_.daemon().version(id_));
     local_.last_transfer_latency = system.scheduler().now() - t_grant;
-  } else {
-    local_.version = version;
   }
-
-  local_.held = true;
-  local_.shared = shared;
   return util::Status::ok();
 }
 
@@ -203,8 +178,8 @@ util::Status ReplicaLock::unlock() {
   const bool shared = local_.shared;
 
   // Shared releases publish nothing: no version bump, no dissemination.
-  const Version new_version = shared ? local_.version : local_.version + 1;
-  local_.version = new_version;
+  const Version new_version = site_.client().release(local_);
+  site_.daemon().publish(id_, new_version);
   if (!shared) {
     for (const std::string& name : local_.replica_names) {
       if (auto replica = site_.find_replica(name)) {
@@ -212,20 +187,13 @@ util::Status ReplicaLock::unlock() {
       }
     }
   }
-  local_.held = false;
-  local_.shared = false;
 
   // Push-based update dissemination (§4): ship the new state to UR-1 other
   // registered holders before releasing, choosing replacements when a
   // target has failed.
   std::vector<runtime::SiteId> up_to_date{site_.site()};
   if (!shared && local_.ur > 1 && !local_.replica_names.empty()) {
-    util::Buffer bundle = site_.marshal_bundle(local_);
-    util::Buffer data;
-    util::WireWriter writer(data);
-    writer.u32(id_);
-    writer.u64(new_version);
-    writer.raw(bundle);
+    const util::Buffer data = site_.daemon().encode(id_);
 
     net::BulkTransport bulk(endpoint, system.transfer_mode());
     int needed = local_.ur - 1;
@@ -248,15 +216,7 @@ util::Status ReplicaLock::unlock() {
   }
 
   auto build_release = [&] {
-    ReleaseLockMsg msg;
-    msg.lock_id = id_;
-    msg.site = site_.site();
-    msg.new_version = new_version;
-    msg.up_to_date.assign(up_to_date.begin(), up_to_date.end());
-    msg.mode = shared ? LockWireMode::kShared : LockWireMode::kExclusive;
-    util::Buffer release;
-    msg.encode(release);
-    return release;
+    return site_.client().release_msg(local_, up_to_date);
   };
   if (opts.enable_sync_recovery) {
     // The release must reach a live synchronization thread or its version is

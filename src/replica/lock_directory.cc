@@ -58,9 +58,13 @@ bool LockDirectory::handle(std::int64_t now_us,
       if (auto msg = decode<RegisterLockMsg>(reader)) {
         LockRecord& record = locks_[msg->lock_id].record;
         record.holders.insert(msg->site);
+        contacts_[msg->site] = {msg->bulk_caps, msg->tcp_port};
         ++registrations_;
         sink_.record_changed(msg->lock_id, record);
       }
+      return true;
+    case kVersionReport:
+      if (auto msg = decode<VersionReportMsg>(reader)) report(*msg);
       return true;
     default:
       return false;
@@ -127,9 +131,23 @@ void LockDirectory::activate(LockId id, LockState& lock, LockHold hold) {
   sink_.trace({trace::EventKind::kLockGranted, id, active.site, active.mode,
                record.version, active.nonce,
                active.granted_at_us - active.enqueued_at_us});
-  if (!current && record.last_owner.has_value()) {
-    sink_.transfer_needed(active, *record.last_owner, record.version);
+  if (!current && record.last_owner.has_value() && active.data_port != 0) {
+    start_transfer(active, *record.last_owner, record.version);
   }
+}
+
+void LockDirectory::start_transfer(const LockHold& hold, net::NodeId owner,
+                                   Version version) {
+  const std::uint64_t id = ++next_transfer_id_;
+  transfers_[id].lock_version = version;
+  TransferDirective& directive = transfers_[id].directive;
+  directive = {id, owner, {hold.lock_id, version, hold.site, hold.data_port}};
+  if (auto it = contacts_.find(hold.site); it != contacts_.end()) {
+    directive.msg.dst_bulk_caps = it->second.first;
+    directive.msg.dst_tcp_port = it->second.second;
+  }
+  // A copy: the adapter may answer inline, which can end the transfer.
+  sink_.transfer_needed(TransferDirective(directive));
 }
 
 void LockDirectory::release(const ReleaseLockMsg& msg) {
@@ -222,28 +240,128 @@ void LockDirectory::owner_confirmed(std::int64_t now_us, LockId lock_id,
   grant_from_queue(lock_id, lock);
 }
 
-void LockDirectory::transfer_delivered(std::int64_t now_us, LockId lock_id,
-                                       net::NodeId source, Version version) {
+void LockDirectory::transfer_delivered(std::int64_t now_us,
+                                       std::uint64_t transfer_id) {
   now_us_ = now_us;
-  LockRecord* record = find_record(lock_id);
-  if (record == nullptr ||
-      (source == record->last_owner && version == record->version)) {
+  auto it = transfers_.find(transfer_id);
+  if (it == transfers_.end()) return;
+  const Transfer transfer = std::move(it->second);
+  transfers_.erase(it);
+  const TransferDirective& directive = transfer.directive;
+  LockRecord* record = find_record(directive.msg.lock_id);
+  if (record == nullptr || !transfer.redirecting ||
+      record->version != transfer.lock_version ||
+      (directive.daemon == record->last_owner &&
+       directive.msg.version == record->version)) {
     return;
   }
-  record->version = std::min(record->version, version);
-  record->up_to_date = {source};
-  record->last_owner = source;
-  sink_.record_changed(lock_id, *record);
+  record->version = std::min(record->version, directive.msg.version);
+  record->up_to_date = {directive.daemon};
+  record->last_owner = directive.daemon;
+  sink_.record_changed(directive.msg.lock_id, *record);
 }
 
-void LockDirectory::transfer_failed(std::int64_t now_us, LockId lock_id,
-                                    net::NodeId source) {
+void LockDirectory::transfer_failed(std::int64_t now_us,
+                                    std::uint64_t transfer_id) {
   now_us_ = now_us;
-  if (LockRecord* record = find_record(lock_id)) {
-    record->holders.erase(source);
-    record->up_to_date.erase(source);
-    sink_.record_changed(lock_id, *record);
+  auto it = transfers_.find(transfer_id);
+  if (it == transfers_.end()) return;
+  Transfer& transfer = it->second;
+  const TransferDirective& directive = transfer.directive;
+  LockRecord& record = *find_record(directive.msg.lock_id);
+  record.holders.erase(directive.daemon);
+  record.up_to_date.erase(directive.daemon);
+  sink_.record_changed(directive.msg.lock_id, record);
+  if (transfer.redirecting) {
+    sink_.transfer_step(TransferStep::kRedirectFailed, directive,
+                        record.version);
+    redirect_next(transfer_id);
+    return;
   }
+  // §4, failure of a non-lock-owning thread: the last owner's daemon (and
+  // its node) are presumed failed; poll every registered daemon for the
+  // most recent version it holds.
+  transfer.redirecting = transfer.polling = true;
+  transfer.awaiting = record.holders;
+  sink_.transfer_step(TransferStep::kOwnerFailed, directive, record.version);
+  if (record.holders.empty()) return close_poll(transfer_id);
+  for (net::NodeId daemon : record.holders) {
+    sink_.send_poll(transfer_id, daemon, {directive.msg.lock_id, kSyncPort});
+  }
+  sink_.poll_window(transfer_id);
+}
+
+void LockDirectory::report(const VersionReportMsg& msg) {
+  // Reports nobody awaits are stragglers from an earlier window: dropped.
+  std::vector<std::uint64_t> answered;
+  for (auto& [id, transfer] : transfers_) {
+    if (transfer.polling && transfer.directive.msg.lock_id == msg.lock_id &&
+        transfer.awaiting.erase(msg.site) != 0) {
+      transfer.candidates.emplace_back(msg.site, msg.version);
+      if (transfer.awaiting.empty()) answered.push_back(id);
+    }
+  }
+  for (std::uint64_t id : answered) close_poll(id);
+}
+
+void LockDirectory::poll_failed(std::int64_t now_us, std::uint64_t transfer_id,
+                                net::NodeId daemon) {
+  now_us_ = now_us;
+  auto it = transfers_.find(transfer_id);
+  if (it == transfers_.end() || !it->second.polling) return;
+  it->second.awaiting.erase(daemon);
+  if (it->second.awaiting.empty()) close_poll(transfer_id);
+}
+
+void LockDirectory::poll_window_closed(std::int64_t now_us,
+                                       std::uint64_t transfer_id) {
+  now_us_ = now_us;
+  if (polling(transfer_id)) close_poll(transfer_id);
+}
+
+bool LockDirectory::polling(std::uint64_t transfer_id) const {
+  auto it = transfers_.find(transfer_id);
+  return it != transfers_.end() && it->second.polling;
+}
+
+void LockDirectory::close_poll(std::uint64_t id) {
+  Transfer& transfer = transfers_.at(id);
+  transfer.polling = false;
+  transfer.awaiting.clear();
+  // Newest version first; on ties the requester itself (its transfer is a
+  // local loopback), then the lower site id.
+  const net::NodeId requester = transfer.directive.msg.dst_site;
+  std::sort(transfer.candidates.begin(), transfer.candidates.end(),
+            [requester](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              if ((a.first == requester) != (b.first == requester)) {
+                return a.first == requester;
+              }
+              return a.first < b.first;
+            });
+  redirect_next(id);
+}
+
+void LockDirectory::redirect_next(std::uint64_t id) {
+  auto it = transfers_.find(id);
+  Transfer& transfer = it->second;
+  TransferDirective& directive = transfer.directive;
+  const Version lock_version = find_record(directive.msg.lock_id)->version;
+  if (transfer.next == transfer.candidates.size()) {
+    const TransferDirective lost = directive;
+    transfers_.erase(it);
+    return sink_.transfer_step(TransferStep::kLost, lost, lock_version);
+  }
+  const auto [daemon, version] = transfer.candidates[transfer.next++];
+  directive.daemon = daemon;
+  directive.msg.version = std::min(version, lock_version);
+  const TransferDirective out = directive;
+  if (version < lock_version) {
+    // Weakened consistency (§4): the most recent version died with its
+    // node; forward the most recently *available* older version.
+    sink_.transfer_step(TransferStep::kWeakened, out, lock_version);
+  }
+  sink_.transfer_needed(out);
 }
 
 }  // namespace mocha::replica

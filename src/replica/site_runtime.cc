@@ -7,7 +7,7 @@ namespace mocha::replica {
 
 SiteReplicaRuntime::SiteReplicaRuntime(ReplicaSystem& system,
                                        runtime::SiteId site)
-    : system_(system), site_(site) {
+    : system_(system), site_(site), client_(site), daemon_(site, *this) {
   sim::Scheduler& sched = system_.scheduler();
   const std::string& name = system_.mocha().site_name(site);
   sched.spawn("daemon/" + name, [this] { daemon_loop(); });
@@ -37,41 +37,59 @@ LockLocal& SiteReplicaRuntime::lock_local(LockId id) {
   return *it->second;
 }
 
-Version SiteReplicaRuntime::local_version(LockId id) {
-  return lock_local(id).version;
-}
-
-util::Buffer SiteReplicaRuntime::marshal_bundle(const LockLocal& lk) {
-  util::Buffer bundle;
-  util::WireWriter writer(bundle);
-  writer.u32(static_cast<std::uint32_t>(lk.replica_names.size()));
-  for (const std::string& name : lk.replica_names) {
+void SiteReplicaRuntime::bundle(LockId lock_id, std::vector<BundleView>& out) {
+  const std::vector<std::string> names = lock_local(lock_id).replica_names;
+  for (const std::string& name : names) {
     std::shared_ptr<Replica> replica = find_replica(name);
-    util::Buffer payload =
-        replica != nullptr ? replica->marshal_payload() : util::Buffer{};
+    BundleView& view = out.emplace_back(BundleView{
+        name, {}, replica != nullptr ? replica->marshal_payload()
+                                     : util::Buffer{}});
+    view.payload = view.marshaled;
     // JDK-style serialization runs once per object — the per-replica fixed
     // cost is why the paper's app pays ~1 ms per small replica (§5.1).
     serial::charge_marshal_cost(system_.options().marshal_model,
-                                payload.size());
-    writer.str(name);
-    writer.bytes(payload);
+                                view.marshaled.size());
   }
-  return bundle;
 }
 
-void SiteReplicaRuntime::unmarshal_bundle(
-    std::span<const std::uint8_t> bundle) {
-  util::WireReader reader(bundle);
-  const std::uint32_t count = reader.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = reader.str();
-    util::Buffer payload = reader.bytes();
+void SiteReplicaRuntime::apply(LockId /*lock_id*/,
+                               std::vector<BundleEntry>& entries) {
+  // The daemon (and the acquiring thread) has direct access to the shared
+  // objects (§4): unmarshal straight into them.
+  for (BundleEntry& entry : entries) {
     serial::charge_marshal_cost(system_.options().marshal_model,
-                                payload.size());
-    std::shared_ptr<Replica> replica = find_replica(name);
-    if (replica == nullptr || payload.empty()) continue;
-    replica->unmarshal_payload(payload);
+                                entry.payload.size());
+    std::shared_ptr<Replica> replica = find_replica(entry.name);
+    if (replica == nullptr || entry.payload.empty()) continue;
+    replica->unmarshal_payload(entry.payload);
   }
+}
+
+void SiteReplicaRuntime::serve(const TransferReplicaMsg& directive,
+                               util::Buffer data) {
+  const std::size_t bundle_bytes = data.size() - 12;  // past lock | version
+  net::BulkTransport bulk(system_.endpoint(site_), system_.transfer_mode());
+  util::Status sent =
+      bulk.send_bulk(directive.dst_site, directive.dst_port, std::move(data),
+                     system_.options().data_timeout);
+  if (sent.is_ok()) {
+    ++transfers_served_;
+    if (auto* tracer = system_.mocha().network().tracer()) {
+      tracer->record(trace::EventKind::kTransferServed,
+                     system_.scheduler().now(), site_, directive.dst_site,
+                     directive.lock_id, bundle_bytes);
+    }
+  } else {
+    MOCHA_WARN("daemon") << system_.mocha().site_name(site_)
+                         << ": transfer of lock " << directive.lock_id
+                         << " to site " << directive.dst_site
+                         << " failed: " << sent.to_string();
+  }
+}
+
+void SiteReplicaRuntime::send(net::NodeId dst, net::Port port,
+                              util::Buffer msg) {
+  system_.endpoint(site_).send(dst, port, std::move(msg));
 }
 
 void SiteReplicaRuntime::daemon_loop() {
@@ -79,23 +97,9 @@ void SiteReplicaRuntime::daemon_loop() {
   while (true) {
     net::MochaNetEndpoint::Message msg =
         endpoint.recv(runtime::ports::kDaemon);
+    if (daemon_.handle(msg.src, msg.payload)) continue;
     util::WireReader reader(msg.payload);
     switch (reader.u8()) {
-      case kTransferReplica:
-        handle_transfer(reader);
-        break;
-      case kPollVersion: {
-        const PollVersionMsg poll = PollVersionMsg::decode(reader);
-        util::Buffer report;
-        VersionReportMsg{poll.lock_id, site_, local_version(poll.lock_id)}
-            .encode(report);
-        endpoint.send(msg.src, poll.reply_port, std::move(report));
-        break;
-      }
-      case kHeartbeat:
-        // Liveness is proven by the transport-level ack the sender waits on;
-        // nothing to do at the daemon.
-        break;
       case kWhereIsSync: {
         const net::Port reply_port = reader.u16();
         util::Buffer reply;
@@ -118,39 +122,6 @@ void SiteReplicaRuntime::daemon_loop() {
       default:
         break;
     }
-  }
-}
-
-void SiteReplicaRuntime::handle_transfer(util::WireReader& reader) {
-  const TransferReplicaMsg directive = TransferReplicaMsg::decode(reader);
-  const LockId lock_id = directive.lock_id;
-  const Version version = directive.version;
-  const runtime::SiteId dst_site = directive.dst_site;
-  const net::Port dst_port = directive.dst_port;
-
-  LockLocal& lk = lock_local(lock_id);
-  util::Buffer bundle = marshal_bundle(lk);  // daemon pays the marshal cost
-
-  util::Buffer data;
-  util::WireWriter writer(data);
-  writer.u32(lock_id);
-  writer.u64(version);
-  writer.raw(bundle);
-
-  net::BulkTransport bulk(system_.endpoint(site_), system_.transfer_mode());
-  util::Status sent = bulk.send_bulk(dst_site, dst_port, std::move(data),
-                                     system_.options().data_timeout);
-  if (sent.is_ok()) {
-    ++transfers_served_;
-    if (auto* tracer = system_.mocha().network().tracer()) {
-      tracer->record(trace::EventKind::kTransferServed,
-                     system_.scheduler().now(), site_, dst_site, lock_id,
-                     bundle.size());
-    }
-  } else {
-    MOCHA_WARN("daemon") << system_.mocha().site_name(site_)
-                         << ": transfer of lock " << lock_id << " to site "
-                         << dst_site << " failed: " << sent.to_string();
   }
 }
 
@@ -183,14 +154,12 @@ void SiteReplicaRuntime::daemon_data_loop() {
   while (true) {
     auto msg = bulk.recv_bulk(kDaemonDataPort, net::BulkTransport::kWaitForever);
     if (!msg.is_ok()) continue;  // failed pull; keep listening
-    util::WireReader reader(msg.value().payload);
-    const LockId lock_id = reader.u32();
-    const Version version = reader.u64();
-    LockLocal& lk = lock_local(lock_id);
     // Apply the pushed update directly to the shared objects (§4): the
     // daemon has direct access to the replicas.
-    unmarshal_bundle(reader.raw(reader.remaining()));
-    if (version > lk.version) lk.version = version;
+    const DaemonCore::Applied applied = daemon_.apply(msg.value().payload);
+    if (applied.outcome != DaemonCore::Apply::kApplied) continue;
+    const LockId lock_id = applied.lock_id;
+    const Version version = applied.version;
     ++updates_applied_;
     if (auto* tracer = system_.mocha().network().tracer()) {
       tracer->record(trace::EventKind::kUpdatePushed,

@@ -1,8 +1,11 @@
-// Per-site replica runtime: the local replica registry, the per-lock local
-// state shared by application threads of one site, and the site's *daemon
-// thread* (paper §3) — a maximum-priority thread with direct access to the
-// shared objects, which transfers replicas to remote requesters, applies
-// pushed updates, answers version polls, and responds to heartbeats.
+// Per-site replica runtime of the simulated runtime: the local replica
+// registry, the per-lock state shared by application threads of one site,
+// and the site's *daemon thread* (paper §3) — a maximum-priority thread
+// with direct access to the shared objects, which transfers replicas to
+// remote requesters, applies pushed updates, answers version polls, and
+// responds to heartbeats. The sim adapter around replica::DaemonCore and
+// replica::LockClientCore (which ReplicaLock drives), the cores the live
+// DaemonService and LockClient run too.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +16,8 @@
 #include <vector>
 
 #include "net/bulk.h"
+#include "replica/daemon_core.h"
+#include "replica/lock_client_core.h"
 #include "replica/replica.h"
 #include "replica/wire.h"
 #include "runtime/system.h"
@@ -65,18 +70,13 @@ struct ReplicaOptions {
   int sync_probe_misses = 2;
 };
 
-// Local state for one lock id at one site, shared by that site's threads.
-struct LockLocal {
-  LockId id = 0;
+// Local state for one lock id at one site, shared by that site's threads:
+// the client core's lock state plus the Fig 5 local serialization.
+struct LockLocal : ClientLock {
   bool busy = false;  // a local thread owns or is acquiring the lock
-  bool held = false;  // entry-consistency guard for associated replicas
-  bool shared = false;  // held in shared (read-only) mode
   std::unique_ptr<sim::Condition> local_waiters;
   std::vector<std::string> replica_names;  // association order
-  Version version = 0;
   int ur = 1;
-  net::Port grant_port = 0;  // per-(site,lock) reply ports
-  net::Port data_port = 0;
   std::vector<runtime::SiteId> holders;  // registered sites, from last GRANT
 
   // Introspection for benchmarks (§5): componentwise costs of the last
@@ -86,7 +86,7 @@ struct LockLocal {
   sim::Duration last_transfer_latency = 0;
 };
 
-class SiteReplicaRuntime {
+class SiteReplicaRuntime : private DaemonSink {
  public:
   SiteReplicaRuntime(ReplicaSystem& system, runtime::SiteId site);
 
@@ -113,18 +113,11 @@ class SiteReplicaRuntime {
   // --- lock-local state ---
   LockLocal& lock_local(LockId id);
 
-  // Bundle (un)marshaling for all replicas associated with a lock, with the
-  // configured cost model charged to the calling simulated process.
-  util::Buffer marshal_bundle(const LockLocal& lk);
-  void unmarshal_bundle(std::span<const std::uint8_t> bundle);
-
-  // Highest version across the replicas associated with `lock`, i.e. what
-  // the daemon reports when the sync thread polls (§4).
-  Version local_version(LockId id);
-
-  // Monotonic per-site nonce for request/reply matching (stale grants from
-  // earlier acquires or previous sync incarnations are discarded by nonce).
-  std::uint64_t next_nonce() { return ++nonce_; }
+  // This site's daemon rules (version table, bundle codec; marshaling a
+  // bundle charges the configured cost model to the calling simulated
+  // process) and lock-client rules (nonces, grant matching, versions).
+  DaemonCore& daemon() { return daemon_; }
+  LockClientCore& client() { return client_; }
 
   // --- statistics ---
   std::uint64_t transfers_served() const { return transfers_served_; }
@@ -133,14 +126,19 @@ class SiteReplicaRuntime {
  private:
   void daemon_loop();       // control: transfer directives, polls, heartbeats
   void daemon_data_loop();  // bulk: pushed replica-update bundles
-  void handle_transfer(util::WireReader& reader);
+  // --- DaemonSink ---
+  void bundle(LockId lock_id, std::vector<BundleView>& out) override;
+  void apply(LockId lock_id, std::vector<BundleEntry>& entries) override;
+  void serve(const TransferReplicaMsg& directive, util::Buffer data) override;
+  void send(net::NodeId dst, net::Port port, util::Buffer msg) override;
 
   ReplicaSystem& system_;
   runtime::SiteId site_;
   runtime::SiteId sync_site_ = 0;  // home until a failover
   std::map<std::string, std::shared_ptr<Replica>> replicas_;
   std::map<LockId, std::unique_ptr<LockLocal>> locks_;
-  std::uint64_t nonce_ = 0;
+  LockClientCore client_;
+  DaemonCore daemon_;
   std::uint64_t transfers_served_ = 0;
   std::uint64_t updates_applied_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "replica/sync_service.h"
 
-#include <algorithm>
-
 #include "replica/replica_system.h"
 #include "util/log.h"
 
@@ -103,9 +101,6 @@ void SyncService::handle(net::MochaNetEndpoint::Message msg) {
     case kRefreshCached:
       handle_refresh_cached(reader);
       break;
-    case kVersionReport:
-      // A straggler from an earlier poll window; stale, drop it.
-      break;
     default:
       break;
   }
@@ -196,100 +191,86 @@ void SyncService::trace(const LockEvent& event) {
           " broken (owner failed while holding); site blacklisted");
 }
 
-bool SyncService::send_transfer_directive(const LockHold& hold,
-                                          runtime::SiteId source,
-                                          Version version) {
+void SyncService::transfer_needed(const TransferDirective& directive) {
+  // The directive's transport ack is the failure detector (§4).
   util::Buffer msg;
-  TransferReplicaMsg{hold.lock_id, version, hold.site, hold.data_port}.encode(
-      msg);
+  directive.msg.encode(msg);
   const bool delivered =
       endpoint_
-          ->send_sync(source, runtime::ports::kDaemon, std::move(msg),
-                      system_.options().transfer_timeout)
+          ->send_sync(directive.daemon, runtime::ports::kDaemon,
+                      std::move(msg), system_.options().transfer_timeout)
           .is_ok();
   if (delivered) {
-    dir_.transfer_delivered(now(), hold.lock_id, source, version);
+    dir_.transfer_delivered(now(), directive.id);
   } else {
-    dir_.transfer_failed(now(), hold.lock_id, source);
+    dir_.transfer_failed(now(), directive.id);
   }
-  return delivered;
 }
 
-void SyncService::transfer_needed(const LockHold& hold, runtime::SiteId owner,
-                                  Version version) {
-  if (send_transfer_directive(hold, owner, version)) return;
-
-  // §4, failure of a non-lock-owning thread: the transfer directive timed
-  // out, so the daemon (and its node) are presumed failed.
-  ++failures_detected_;
-  if (auto* tracer = system_.mocha().network().tracer()) {
-    tracer->record(trace::EventKind::kFailureDetected,
-                   system_.scheduler().now(), owner, site_, hold.lock_id, 0);
-  }
-  system_.mocha().event_log().record(
-      system_.scheduler().now(), runtime::EventKind::kFailure,
-      system_.mocha().site_name(owner),
-      "daemon unresponsive while directing transfer of lock " +
-          std::to_string(hold.lock_id) + "; polling survivors");
-  poll_and_redirect(hold);
+void SyncService::send_poll(std::uint64_t /*transfer_id*/,
+                            runtime::SiteId daemon,
+                            const PollVersionMsg& poll) {
+  util::Buffer msg;
+  poll.encode(msg);
+  endpoint_->send(daemon, runtime::ports::kDaemon, std::move(msg));
 }
 
-void SyncService::poll_and_redirect(const LockHold& hold) {
-  const LockId lock_id = hold.lock_id;
-  const LockRecord& record = *dir_.record(lock_id);
-  // Poll every registered daemon for the most recent version it holds.
-  for (runtime::SiteId site : record.holders) {
-    util::Buffer poll;
-    PollVersionMsg{lock_id, runtime::ports::kSync}.encode(poll);
-    endpoint_->send(site, runtime::ports::kDaemon, std::move(poll));
-  }
-
-  std::map<runtime::SiteId, Version> reports;
+void SyncService::poll_window(std::uint64_t transfer_id) {
+  // Nothing else runs on this thread during the window: reports go to the
+  // core, unrelated traffic is handled afterwards.
   sim::Scheduler& sched = system_.scheduler();
   const sim::Time deadline = sched.now() + system_.options().poll_window;
-  while (sched.now() < deadline && reports.size() < record.holders.size()) {
-    auto msg = endpoint_->recv_for(runtime::ports::kSync,
-                                   deadline - sched.now());
+  while (dir_.polling(transfer_id) && sched.now() < deadline) {
+    auto msg =
+        endpoint_->recv_for(runtime::ports::kSync, deadline - sched.now());
     if (!msg.has_value()) break;
-    util::WireReader reader(msg->payload);
-    if (reader.u8() == kVersionReport) {
-      const VersionReportMsg report = VersionReportMsg::decode(reader);
-      if (report.lock_id == lock_id) {
-        reports[report.site] = report.version;
-        continue;
-      }
+    if (!msg->payload.empty() &&
+        util::WireReader(msg->payload).u8() == kVersionReport) {
+      dir_.handle(now(), msg->payload);
+    } else {
+      stash_.push_back(std::move(*msg));
     }
-    stash_.push_back(std::move(*msg));  // unrelated traffic: handle later
   }
+  dir_.poll_window_closed(now(), transfer_id);
+}
 
-  // Candidates ordered newest-version first; prefer the requester itself on
-  // ties (its transfer is a local loopback).
-  std::vector<std::pair<runtime::SiteId, Version>> candidates(reports.begin(),
-                                                              reports.end());
-  std::sort(candidates.begin(), candidates.end(),
-            [&](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return (a.first == hold.site) > (b.first == hold.site);
-            });
-
-  for (const auto& [site, version] : candidates) {
-    if (version < record.version) {
-      // Weakened consistency (§4): the most recent version died with its
-      // node; forward the most recently *available* older version.
+void SyncService::transfer_step(TransferStep step,
+                                const TransferDirective& directive,
+                                Version lock_version) {
+  const sim::Time time = system_.scheduler().now();
+  const LockId lock_id = directive.msg.lock_id;
+  switch (step) {
+    case TransferStep::kOwnerFailed:
+      // §4, failure of a non-lock-owning thread: the transfer directive
+      // timed out, so the daemon (and its node) are presumed failed.
+      ++failures_detected_;
+      if (auto* tracer = system_.mocha().network().tracer()) {
+        tracer->record(trace::EventKind::kFailureDetected, time,
+                       directive.daemon, site_, lock_id, 0);
+      }
+      system_.mocha().event_log().record(
+          time, runtime::EventKind::kFailure,
+          system_.mocha().site_name(directive.daemon),
+          "daemon unresponsive while directing transfer of lock " +
+              std::to_string(lock_id) + "; polling survivors");
+      break;
+    case TransferStep::kRedirectFailed:
+      ++failures_detected_;
+      break;
+    case TransferStep::kWeakened:
       ++stale_forwards_;
       system_.mocha().event_log().record(
-          sched.now(), runtime::EventKind::kFailure,
-          system_.mocha().site_name(hold.site),
+          time, runtime::EventKind::kFailure,
+          system_.mocha().site_name(directive.msg.dst_site),
           "lock " + std::to_string(lock_id) + ": version " +
-              std::to_string(record.version) + " lost; forwarding version " +
-              std::to_string(version));
-    }
-    const Version forwarded = std::min(version, record.version);
-    if (send_transfer_directive(hold, site, forwarded)) return;
-    ++failures_detected_;
+              std::to_string(lock_version) + " lost; forwarding version " +
+              std::to_string(directive.msg.version));
+      break;
+    case TransferStep::kLost:
+      MOCHA_ERROR("sync") << "lock " << lock_id
+                          << ": no surviving daemon could serve a transfer";
+      break;
   }
-  MOCHA_ERROR("sync") << "lock " << lock_id
-                      << ": no surviving daemon could serve a transfer";
 }
 
 void SyncService::confirm_owner(const LockHold& hold) {

@@ -1,9 +1,11 @@
 // The synchronization thread of the simulated runtime (paper §3, Fig 7):
 // the sim adapter around replica::LockDirectory, which the live LockServer
 // runs too. One simulated thread at the home site. The §4 steps done here:
-//   - "transfer needed" is a blocking directive to the owner's daemon; on
-//     timeout it polls the surviving daemons for one poll window and
-//     redirects the most recent *available* version (weakened consistency);
+//   - each transfer directive the core emits is a blocking send to the
+//     daemon; its transport ack (or timeout) answers the core, which polls
+//     the surviving daemons and redirects on failure. The poll window
+//     blocks this thread for ReplicaOptions::poll_window, or until every
+//     poll is answered;
 //   - leases are scanned every lease_check_interval while a lock is held,
 //     and an expired one is confirmed with a blocking heartbeat first;
 //   - durable facts go to the SyncStateLog, which a surrogate restores from.
@@ -45,10 +47,14 @@ class SyncService : private LockDirectorySink {
  private:
   // --- LockDirectorySink ---
   void send_grant(const LockHold& hold, const GrantMsg& grant) override;
-  // Directs `owner`'s daemon to transfer lock replicas to the requester;
-  // falls back to polling on timeout.
-  void transfer_needed(const LockHold& hold, runtime::SiteId owner,
-                       Version version) override;
+  // A blocking directive; its transport ack answers the core.
+  void transfer_needed(const TransferDirective& directive) override;
+  void send_poll(std::uint64_t transfer_id, runtime::SiteId daemon,
+                 const PollVersionMsg& poll) override;
+  // Runs the poll window on this thread, feeding reports to the core.
+  void poll_window(std::uint64_t transfer_id) override;
+  void transfer_step(TransferStep step, const TransferDirective& directive,
+                     Version lock_version) override;
   // Heartbeats the owner's daemon and answers the core.
   void confirm_owner(const LockHold& hold) override;
   void record_changed(LockId id, const LockRecord& record) override;
@@ -65,13 +71,6 @@ class SyncService : private LockDirectorySink {
   void handle(net::MochaNetEndpoint::Message msg);
   void handle_publish_cached(util::WireReader& reader);
   void handle_refresh_cached(util::WireReader& reader);
-  // One TRANSFER_REPLICA directive to `source`'s daemon for `hold`; reports
-  // the outcome to the core.
-  bool send_transfer_directive(const LockHold& hold, runtime::SiteId source,
-                               Version version);
-  // §4 failure handling: poll registered daemons for their newest version
-  // and direct the best one to transfer.
-  void poll_and_redirect(const LockHold& hold);
   void scan_leases();
 
   ReplicaSystem& system_;

@@ -62,25 +62,16 @@ enum MsgType : std::uint8_t {
   kRefreshReply = 21,
   // sync -> application thread (grant port)
   kGrant = 22,
-  // Live-runtime peer discovery (§8): a node that must pull a replica from a
-  // daemon it has never exchanged datagrams with asks the lock server (whose
-  // endpoint learned every client's UDP address from the datagram envelope)
-  // where that node lives.
-  kResolveNode = 23,
-  kNodeAddr = 24,
+  // 23 and 24 are retired (live peer discovery: the lock server now puts
+  // the requester's address into the transfer directive).
   // Sharded lock directory (§9): at registration a client asks its bootstrap
   // shard for the deployment's shard map; the reply lists every shard's
   // endpoint, and consistent hashing over the shard ids (live::ShardMap)
   // routes each lock id to exactly one of them.
   kShardMapRequest = 25,
   kShardMapReply = 26,
-  // Bulk-transport negotiation (§10): before the first replica pull against
-  // a peer, a daemon advertises which bulk backends it can *receive* on and
-  // where they listen; the peer records the capabilities and answers with
-  // its own. A peer that never heard of BULK-HELLO simply ignores it, so
-  // mixed deployments degrade to the MochaNet-UDP bulk path.
-  kBulkHello = 27,
-  kBulkHelloAck = 28,
+  // 27 and 28 are retired (the BULK-HELLO exchange: a site's bulk
+  // capabilities now ride its kRegisterLock and the transfer directive).
   // Live introspection (§11): any node asks a lock-server shard for its
   // process's telemetry snapshot — counters, gauges, and latency histograms
   // from live::MetricsRegistry — served off the shard's reactor so a scrape
@@ -89,14 +80,13 @@ enum MsgType : std::uint8_t {
   kStatsReply = 30,
 };
 
-// Bulk-backend capability bits carried by kBulkHello/kBulkHelloAck (§10).
-// Every daemon can receive on the MochaNet-UDP data port, so kBulkCapUdp is
-// always set by live senders; kBulkCapTcp is set when the daemon's TCP bulk
-// listener is open. kBulkCapBatchedUdp is reserved: the batched-UDP backend
-// was removed, live senders never set it, and receivers ignore it.
+// Bulk-backend capability bits of a site's daemon (§10), carried by its
+// kRegisterLock and, on the site's behalf, by every transfer directive that
+// names it as the destination. Every daemon can receive on the MochaNet-UDP
+// data path, so kBulkCapUdp is always set by live senders; kBulkCapTcp is
+// set when the daemon's TCP bulk listener is open.
 constexpr std::uint8_t kBulkCapUdp = 1u << 0;
 constexpr std::uint8_t kBulkCapTcp = 1u << 1;
-constexpr std::uint8_t kBulkCapBatchedUdp = 1u << 2;
 
 // GRANT flags (paper Fig 5: VERSIONOK / NEEDNEWVERSION, plus the §4
 // blacklist refinement).
@@ -183,21 +173,33 @@ struct ReleaseLockMsg {
   }
 };
 
-// kRegisterLock: thread -> synchronization thread (become a holder).
+// kRegisterLock: thread -> synchronization thread (become a holder). The
+// site's bulk contact rides along as a trailer, so a daemon directed to
+// send this site a replica knows its TCP listener without asking. The
+// trailer is left out when it is all zero (UDP only, and always in the
+// simulated runtime), so such a registration keeps its original 9 bytes.
 struct RegisterLockMsg {
   LockId lock_id = 0;
   std::uint32_t site = 0;
+  std::uint8_t bulk_caps = 0;   // kBulkCap* bits
+  std::uint16_t tcp_port = 0;   // TCP bulk listener (host byte order)
 
   void encode(util::Buffer& out) const {
     util::WireWriter writer(out);
     writer.u8(kRegisterLock);
     writer.u32(lock_id);
     writer.u32(site);
+    if (bulk_caps == 0 && tcp_port == 0) return;
+    writer.u8(bulk_caps);
+    writer.u16(tcp_port);
   }
   static RegisterLockMsg decode(util::WireReader& reader) {
     RegisterLockMsg msg;
     msg.lock_id = reader.u32();
     msg.site = reader.u32();
+    if (reader.remaining() == 0) return msg;
+    msg.bulk_caps = reader.u8();
+    msg.tcp_port = reader.u16();
     return msg;
   }
 };
@@ -209,7 +211,8 @@ struct GrantMsg {
   Version version = 0;
   GrantFlag flag = GrantFlag::kVersionOk;
   // Site whose daemon holds `version` (the last lock owner); 0 when unknown.
-  // With kNeedNewVersion the requester pulls the replica from this site.
+  // With kNeedNewVersion the directory directs this site's daemon to send
+  // the replicas (a poll may redirect a survivor instead, §4).
   std::uint32_t transfer_from = 0;
   std::vector<std::uint32_t> holders;  // registered replica-holder sites
 
@@ -238,14 +241,23 @@ struct GrantMsg {
   }
 };
 
-// kTransferReplica: sync thread (sim) or pulling client (live) -> the daemon
-// holding the newest copy. Directs it to send lock_id's replica bundle to
-// (dst_site, dst_port) over the data path.
+// kTransferReplica: synchronization thread -> the daemon holding the
+// newest copy (paper §3, Fig 7: the sync thread directs, the daemon sends,
+// the sync thread never relays data). Directs it to send lock_id's replica
+// bundle to (dst_site, dst_port). The destination's UDP address and bulk
+// contact ride along as a trailer, so the daemon can reach a site it never
+// heard from without asking anyone. The trailer is left out when it is all
+// zero (the simulated runtime has no addresses to give), so such a
+// directive keeps its original 19 bytes.
 struct TransferReplicaMsg {
   LockId lock_id = 0;
-  Version version = 0;      // version the sender believes the daemon holds
+  Version version = 0;      // version the directory believes the daemon holds
   std::uint32_t dst_site = 0;
   net::Port dst_port = 0;
+  std::uint32_t dst_ipv4 = 0;      // network byte order; 0 = not given
+  std::uint16_t dst_udp_port = 0;  // host byte order
+  std::uint8_t dst_bulk_caps = 0;  // kBulkCap* bits
+  std::uint16_t dst_tcp_port = 0;  // TCP bulk listener; 0 = none
 
   void encode(util::Buffer& out) const {
     util::WireWriter writer(out);
@@ -254,6 +266,14 @@ struct TransferReplicaMsg {
     writer.u64(version);
     writer.u32(dst_site);
     writer.u16(dst_port);
+    if (dst_ipv4 == 0 && dst_udp_port == 0 && dst_bulk_caps == 0 &&
+        dst_tcp_port == 0) {
+      return;
+    }
+    writer.u32(dst_ipv4);
+    writer.u16(dst_udp_port);
+    writer.u8(dst_bulk_caps);
+    writer.u16(dst_tcp_port);
   }
   static TransferReplicaMsg decode(util::WireReader& reader) {
     TransferReplicaMsg msg;
@@ -261,6 +281,11 @@ struct TransferReplicaMsg {
     msg.version = reader.u64();
     msg.dst_site = reader.u32();
     msg.dst_port = reader.u16();
+    if (reader.remaining() == 0) return msg;
+    msg.dst_ipv4 = reader.u32();
+    msg.dst_udp_port = reader.u16();
+    msg.dst_bulk_caps = reader.u8();
+    msg.dst_tcp_port = reader.u16();
     return msg;
   }
 };
@@ -307,52 +332,6 @@ struct VersionReportMsg {
   }
 };
 
-// kResolveNode: live client -> lock server ("what UDP address is node N?").
-struct ResolveNodeMsg {
-  std::uint32_t node = 0;
-  net::Port reply_port = 0;
-
-  void encode(util::Buffer& out) const {
-    util::WireWriter writer(out);
-    writer.u8(kResolveNode);
-    writer.u32(node);
-    writer.u16(reply_port);
-  }
-  static ResolveNodeMsg decode(util::WireReader& reader) {
-    ResolveNodeMsg msg;
-    msg.node = reader.u32();
-    msg.reply_port = reader.u16();
-    return msg;
-  }
-};
-
-// kNodeAddr: lock server -> live client, answer to kResolveNode. ipv4 is in
-// network byte order (as stored in sockaddr_in); known=0 means the server has
-// never heard from that node and ipv4/udp_port are meaningless.
-struct NodeAddrMsg {
-  std::uint32_t node = 0;
-  std::uint32_t ipv4 = 0;
-  std::uint16_t udp_port = 0;  // host byte order on the wire
-  std::uint8_t known = 0;
-
-  void encode(util::Buffer& out) const {
-    util::WireWriter writer(out);
-    writer.u8(kNodeAddr);
-    writer.u32(node);
-    writer.u32(ipv4);
-    writer.u16(udp_port);
-    writer.u8(known);
-  }
-  static NodeAddrMsg decode(util::WireReader& reader) {
-    NodeAddrMsg msg;
-    msg.node = reader.u32();
-    msg.ipv4 = reader.u32();
-    msg.udp_port = reader.u16();
-    msg.known = reader.u8();
-    return msg;
-  }
-};
-
 // kShardMapRequest: live client -> any lock-server shard ("send me the
 // shard map"). Answered with a kShardMapReply on reply_port.
 struct ShardMapRequestMsg {
@@ -371,7 +350,7 @@ struct ShardMapRequestMsg {
 };
 
 // kShardMapReply: lock-server shard -> live client. One entry per shard of
-// the deployment; ipv4 is in network byte order (as in kNodeAddr), and
+// the deployment; ipv4 is in network byte order (as in sockaddr_in), and
 // ipv4 == 0 means "no advertised address" — the client keeps whatever route
 // it already has for that node (e.g. its bootstrap address).
 struct ShardMapReplyMsg {
@@ -406,64 +385,6 @@ struct ShardMapReplyMsg {
       entry.udp_port = reader.u16();
       msg.shards.push_back(entry);
     }
-    return msg;
-  }
-};
-
-// kBulkHello: daemon -> peer daemon (kDaemonPort). Advertises the sender's
-// bulk-receive capabilities: `backends` is a kBulkCap* bitmask, tcp_port is
-// the TCP bulk listener's port (host byte order; 0 = not offered). budp_port
-// is reserved (the removed batched-UDP backend's port): always 0, kept so
-// older peers still decode the message. The sender's IPv4 address is
-// not carried — the receiver already learned it from the datagram envelope.
-struct BulkHelloMsg {
-  std::uint32_t site = 0;
-  std::uint8_t backends = kBulkCapUdp;
-  std::uint16_t tcp_port = 0;
-  std::uint16_t budp_port = 0;
-
-  void encode(util::Buffer& out) const {
-    util::WireWriter writer(out);
-    writer.u8(kBulkHello);
-    writer.u32(site);
-    writer.u8(backends);
-    writer.u16(tcp_port);
-    writer.u16(budp_port);
-  }
-  static BulkHelloMsg decode(util::WireReader& reader) {
-    BulkHelloMsg msg;
-    msg.site = reader.u32();
-    msg.backends = reader.u8();
-    msg.tcp_port = reader.u16();
-    msg.budp_port = reader.u16();
-    return msg;
-  }
-};
-
-// kBulkHelloAck: peer daemon -> helloing daemon (kDaemonPort), answering a
-// kBulkHello with the responder's own capabilities. Absence of the ack (an
-// old binary drops the hello on the floor) is itself the negotiation result:
-// the peer is UDP-only and bulk payloads stay on the MochaNet data port.
-struct BulkHelloAckMsg {
-  std::uint32_t site = 0;
-  std::uint8_t backends = kBulkCapUdp;
-  std::uint16_t tcp_port = 0;
-  std::uint16_t budp_port = 0;
-
-  void encode(util::Buffer& out) const {
-    util::WireWriter writer(out);
-    writer.u8(kBulkHelloAck);
-    writer.u32(site);
-    writer.u8(backends);
-    writer.u16(tcp_port);
-    writer.u16(budp_port);
-  }
-  static BulkHelloAckMsg decode(util::WireReader& reader) {
-    BulkHelloAckMsg msg;
-    msg.site = reader.u32();
-    msg.backends = reader.u8();
-    msg.tcp_port = reader.u16();
-    msg.budp_port = reader.u16();
     return msg;
   }
 };

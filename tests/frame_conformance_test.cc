@@ -243,7 +243,7 @@ TEST(LockWireCodec, GrantRoundTrip) {
   msg.nonce = 0xabcdef0102030405ull;
   msg.version = 77;
   msg.flag = replica::GrantFlag::kNeedNewVersion;
-  msg.transfer_from = 4;  // last owner: the site the requester pulls from
+  msg.transfer_from = 4;  // last owner: the daemon directed to send
   msg.holders = {2, 3, 9};
 
   util::Buffer wire;
@@ -307,36 +307,27 @@ TEST(LockWireCodec, VersionReportRoundTrip) {
   EXPECT_EQ(decoded.version, msg.version);
 }
 
-TEST(LockWireCodec, ResolveNodeRoundTrip) {
-  replica::ResolveNodeMsg msg;
-  msg.node = 7;
-  msg.reply_port = 1003;
+TEST(LockWireCodec, TransferReplicaCarriesRequesterAddress) {
+  // The lock server names the requester's UDP address in the directive, so
+  // the serving daemon reaches a site it never heard from.
+  replica::TransferReplicaMsg msg;
+  msg.lock_id = 13;
+  msg.dst_site = 7;
+  msg.dst_port = 1001;
+  msg.dst_ipv4 = 0x0100007f;  // 127.0.0.1 in network byte order
+  msg.dst_udp_port = 54321;
 
   util::Buffer wire;
   msg.encode(wire);
   util::WireReader reader(wire);
-  ASSERT_EQ(reader.u8(), replica::kResolveNode);
-  const auto decoded = replica::ResolveNodeMsg::decode(reader);
-  EXPECT_EQ(decoded.node, msg.node);
-  EXPECT_EQ(decoded.reply_port, msg.reply_port);
-}
-
-TEST(LockWireCodec, NodeAddrRoundTrip) {
-  replica::NodeAddrMsg msg;
-  msg.node = 7;
-  msg.ipv4 = 0x0100007f;  // 127.0.0.1 in network byte order
-  msg.udp_port = 54321;
-  msg.known = 1;
-
-  util::Buffer wire;
-  msg.encode(wire);
-  util::WireReader reader(wire);
-  ASSERT_EQ(reader.u8(), replica::kNodeAddr);
-  const auto decoded = replica::NodeAddrMsg::decode(reader);
-  EXPECT_EQ(decoded.node, msg.node);
-  EXPECT_EQ(decoded.ipv4, msg.ipv4);
-  EXPECT_EQ(decoded.udp_port, msg.udp_port);
-  EXPECT_EQ(decoded.known, msg.known);
+  ASSERT_EQ(reader.u8(), replica::kTransferReplica);
+  const auto decoded = replica::TransferReplicaMsg::decode(reader);
+  EXPECT_EQ(decoded.dst_site, msg.dst_site);
+  EXPECT_EQ(decoded.dst_ipv4, msg.dst_ipv4);
+  EXPECT_EQ(decoded.dst_udp_port, msg.dst_udp_port);
+  EXPECT_EQ(decoded.dst_bulk_caps, 0u);  // none given: UDP only
+  EXPECT_EQ(decoded.dst_tcp_port, 0u);
+  EXPECT_EQ(reader.remaining(), 0u);
 }
 
 TEST(LockWireCodec, ShardMapRequestRoundTrip) {
@@ -384,54 +375,45 @@ TEST(LockWireCodec, TruncatedShardMapReplyThrows) {
   EXPECT_THROW(replica::ShardMapReplyMsg::decode(reader), util::CodecError);
 }
 
-TEST(LockWireCodec, BulkHelloRoundTrip) {
-  replica::BulkHelloMsg msg;
-  msg.site = 42;
-  msg.backends = replica::kBulkCapUdp | replica::kBulkCapTcp;
-  msg.tcp_port = 40123;
-  msg.budp_port = 0;  // reserved: live senders always send 0
-
+TEST(LockWireCodec, RegisterLockCarriesBulkContact) {
+  // A site's daemon contact rides its registration, and the lock server
+  // passes it on in each directive naming the site.
+  replica::RegisterLockMsg reg;
+  reg.lock_id = 4;
+  reg.site = 42;
+  reg.bulk_caps = replica::kBulkCapUdp | replica::kBulkCapTcp;
+  reg.tcp_port = 40123;
   util::Buffer wire;
-  msg.encode(wire);
+  reg.encode(wire);
   util::WireReader reader(wire);
-  ASSERT_EQ(reader.u8(), replica::kBulkHello);
-  const auto decoded = replica::BulkHelloMsg::decode(reader);
-  EXPECT_EQ(decoded.site, msg.site);
-  EXPECT_EQ(decoded.backends, msg.backends);
-  EXPECT_EQ(decoded.tcp_port, msg.tcp_port);
-  EXPECT_EQ(decoded.budp_port, msg.budp_port);
+  ASSERT_EQ(reader.u8(), replica::kRegisterLock);
+  const auto decoded = replica::RegisterLockMsg::decode(reader);
+  EXPECT_EQ(decoded.bulk_caps, reg.bulk_caps);
+  EXPECT_EQ(decoded.tcp_port, reg.tcp_port);
+
+  replica::TransferReplicaMsg directive;
+  directive.dst_site = reg.site;
+  directive.dst_bulk_caps = reg.bulk_caps;
+  directive.dst_tcp_port = reg.tcp_port;
+  util::Buffer directive_wire;
+  directive.encode(directive_wire);
+  util::WireReader directive_reader(directive_wire);
+  ASSERT_EQ(directive_reader.u8(), replica::kTransferReplica);
+  const auto served = replica::TransferReplicaMsg::decode(directive_reader);
+  EXPECT_EQ(served.dst_bulk_caps, reg.bulk_caps);
+  EXPECT_EQ(served.dst_tcp_port, reg.tcp_port);
 }
 
-TEST(LockWireCodec, BulkHelloAckRoundTrip) {
-  // An older peer may still set the reserved batched-UDP bit and port; the
-  // message must decode unchanged.
-  replica::BulkHelloAckMsg msg;
-  msg.site = 7;
-  msg.backends = replica::kBulkCapUdp | replica::kBulkCapBatchedUdp;
-  msg.tcp_port = 0;
-  msg.budp_port = 50321;
-
+TEST(LockWireCodec, TruncatedTransferReplicaThrows) {
+  replica::TransferReplicaMsg msg;
+  msg.dst_bulk_caps = replica::kBulkCapTcp;
+  msg.dst_tcp_port = 40123;
   util::Buffer wire;
   msg.encode(wire);
+  wire.resize(wire.size() - 1);  // cut inside the TCP contact
   util::WireReader reader(wire);
-  ASSERT_EQ(reader.u8(), replica::kBulkHelloAck);
-  const auto decoded = replica::BulkHelloAckMsg::decode(reader);
-  EXPECT_EQ(decoded.site, msg.site);
-  EXPECT_EQ(decoded.backends, msg.backends);
-  EXPECT_EQ(decoded.tcp_port, msg.tcp_port);
-  EXPECT_EQ(decoded.budp_port, msg.budp_port);
-}
-
-TEST(LockWireCodec, TruncatedBulkHelloThrows) {
-  replica::BulkHelloMsg msg;
-  msg.backends = replica::kBulkCapTcp;
-  msg.tcp_port = 40123;
-  util::Buffer wire;
-  msg.encode(wire);
-  wire.resize(wire.size() - 3);  // cut inside the port fields
-  util::WireReader reader(wire);
-  ASSERT_EQ(reader.u8(), replica::kBulkHello);
-  EXPECT_THROW(replica::BulkHelloMsg::decode(reader), util::CodecError);
+  ASSERT_EQ(reader.u8(), replica::kTransferReplica);
+  EXPECT_THROW(replica::TransferReplicaMsg::decode(reader), util::CodecError);
 }
 
 TEST(LockWireCodec, StatsRequestRoundTrip) {

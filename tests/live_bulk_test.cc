@@ -1,12 +1,12 @@
 // Hybrid bulk-transport tests (§10): the TCP bulk channel with its LRU
 // connection cache, the hybrid daemon's routing by bundle size, and the
-// BULK-HELLO negotiation that lets mixed deployments fall back to the
-// MochaNet-UDP data port.
+// bulk contact a site registers (and each directive passes on) that lets
+// mixed deployments fall back to the MochaNet-UDP endpoint.
 //
 // In-process tests drive the channel directly on an endpoint's loop (typed
 // kUnavailable / kTimeout on refused and stalled peers, byte-equality round
 // trips) and through the full daemon stack (routing by size, fast path vs
-// negotiation fallback, re-serving a refused TCP send on the endpoint). The
+// UDP-only fallback, re-serving a refused TCP send on the endpoint). The
 // multi-process test forks the mocha_live CLI once per backend
 // (--bulk-backend udp / tcp, and the hybrid default) and asserts every run
 // leaves byte-identical replicas, with the TCP-capable runs demonstrably
@@ -189,7 +189,7 @@ TEST(TcpBulk, RoundTripReusesCachedConnection) {
 TEST(TcpBulk, NoContactIsUnavailable) {
   Pair net;
   Channel tx(net.a);
-  // Peer 3 never sent a BULK-HELLO: no contact port recorded.
+  // Peer 3 never advertised a TCP contact.
   const util::Status status =
       tx.send(3, /*contact=*/0, make_payload(64, 3), 200'000LL * time_scale());
   EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
@@ -269,7 +269,7 @@ struct Site {
                [] {
                  LockClientOptions opts;
                  opts.grant_timeout_us = 5'000'000LL * time_scale();
-                 opts.transfer_timeout_us = 2'000'000LL * time_scale();
+                 opts.transfer_timeout_us = 4'000'000LL * time_scale();
                  return opts;
                }(),
                daemon.get()) {
@@ -297,14 +297,13 @@ TEST(BulkNegotiation, MatchingBackendsServeOverFastPath) {
   a.daemon->write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
 
-  // B's pull announces its TCP capability first (hello-before-directive via
-  // in-order delivery), so A's daemon serves the bundle over TCP bulk.
+  // B's first acquire registered its TCP contact with the server, whose
+  // directive passes it on, so A's daemon serves the bundle over TCP bulk.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon->read(kLock, "replica"), written);
   EXPECT_EQ(a.daemon->stats().bulk_fast_served, 1u);
   EXPECT_EQ(a.daemon->stats().bulk_fallbacks, 0u);
-  EXPECT_GE(a.daemon->stats().bulk_peers_known, 1u);
-  EXPECT_EQ(a.daemon->peer_bulk_caps(3) & replica::kBulkCapTcp,
+  EXPECT_EQ(b.daemon->bulk_caps() & replica::kBulkCapTcp,
             replica::kBulkCapTcp);
   EXPECT_EQ(b.daemon->bulk_transport_stats().bundles_received, 1u);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
@@ -318,7 +317,8 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   LockServer server(server_ep);
   server.start();
 
-  // A is UDP-only (an "old binary"); B pulls with the TCP backend enabled.
+  // A is UDP-only (an "old binary"); B acquires with the TCP backend
+  // enabled.
   Site a(2, server_ep.udp_port(), BulkBackend::kUdp);
   Site b(3, server_ep.udp_port(), BulkBackend::kTcp);
   const util::Buffer written = make_payload(65536, 12);
@@ -329,17 +329,17 @@ TEST(BulkNegotiation, MixedDeploymentFallsBackToUdp) {
   a.daemon->write(kLock, "replica", written);
   ASSERT_TRUE(a.client.release(kLock).is_ok());
 
-  // The transfer still completes — over the MochaNet data port, because A
-  // has no fast backend to answer B's advertisement with.
+  // The transfer still completes — over the MochaNet endpoint, because A
+  // has no fast backend to use B's advertised TCP contact with.
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.daemon->read(kLock, "replica"), written);
   EXPECT_EQ(a.daemon->stats().bulk_fast_served, 0u);
   EXPECT_EQ(a.daemon->stats().transfers_served, 1u);
-  // A still recorded B's hello (capabilities survive for a later upgrade),
-  // and B heard back that A is UDP-only.
-  EXPECT_EQ(a.daemon->peer_bulk_caps(3) & replica::kBulkCapTcp,
+  EXPECT_EQ(b.daemon->bulk_transport_stats().bundles_received, 0u);
+  // B advertised TCP; A, the "old binary", offers UDP only.
+  EXPECT_EQ(b.daemon->bulk_caps() & replica::kBulkCapTcp,
             replica::kBulkCapTcp);
-  EXPECT_EQ(b.daemon->peer_bulk_caps(2), replica::kBulkCapUdp);
+  EXPECT_EQ(a.daemon->bulk_caps(), replica::kBulkCapUdp);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   server.stop();
@@ -398,8 +398,8 @@ TEST(HybridRouting, SmallBundlesStayOnEndpointLargeRideTcp) {
 }
 
 TEST(HybridRouting, RefusedTcpSendIsReservedOnEndpoint) {
-  // A serves with the default hybrid daemon; B pulls by hand, advertising
-  // a TCP port nothing listens on, so A's connect is refused.
+  // A serves with the default hybrid daemon; B sends the directive by hand,
+  // naming a TCP port nothing listens on, so A's connect is refused.
   Pair net;
   DaemonService a(net.a);
   a.start();
@@ -409,14 +409,16 @@ TEST(HybridRouting, RefusedTcpSendIsReservedOnEndpoint) {
   a.register_replica(kLock, "replica", written);
   a.publish(kLock, 1);
 
-  util::Buffer hello;
-  replica::BulkHelloMsg{3, replica::kBulkCapUdp | replica::kBulkCapTcp,
-                        refused_port()}
-      .encode(hello);
-  net.b.send(2, replica::kDaemonPort, std::move(hello));
   util::Buffer directive;
-  replica::TransferReplicaMsg{kLock, 1, 3, replica::kDaemonDataPort}.encode(
-      directive);
+  replica::TransferReplicaMsg{kLock,
+                              1,
+                              3,
+                              replica::kDaemonDataPort,
+                              0,
+                              0,
+                              replica::kBulkCapUdp | replica::kBulkCapTcp,
+                              refused_port()}
+      .encode(directive);
   net.b.send(2, replica::kDaemonPort, std::move(directive));
   // Queued behind the directive: answered only if serving it never
   // blocked A's loop.
@@ -432,7 +434,11 @@ TEST(HybridRouting, RefusedTcpSendIsReservedOnEndpoint) {
   ASSERT_EQ(reader.u8(), replica::kVersionReport);
   EXPECT_EQ(replica::VersionReportMsg::decode(reader).version, 1u);
 
-  ASSERT_TRUE(b.wait_for_version(kLock, 1, timeout).is_ok());
+  const std::int64_t deadline = Clock::monotonic().now_us() + timeout;
+  while (b.local_version(kLock) < 1 && Clock::monotonic().now_us() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(b.local_version(kLock), 1u);
   EXPECT_EQ(b.read(kLock, "replica"), written);
   EXPECT_EQ(a.stats().transfers_served, 1u);
   EXPECT_EQ(a.stats().bulk_fallbacks, 1u);

@@ -1,10 +1,11 @@
-// Live replica-transfer tests: the pull-based §6 transfer path over real
-// UDP sockets (live::DaemonService + live::LockClient + live::LockServer).
+// Live replica-transfer tests: the sync-directed §3 transfer over real UDP
+// sockets (live::DaemonService + live::LockClient + live::LockServer).
 //
-// In-process tests wire three endpoints on the loopback interface — lock
-// server (node 1, optionally with a "home" daemon) plus two clients — and
-// exercise the grant-driven pull, the lastLockOwner short-circuit, the
-// home-daemon retry, and the typed timeout when no daemon ever answers.
+// In-process tests wire a lock server (node 1) and client sites on the
+// loopback interface and exercise the directed transfer, the lastLockOwner
+// short-circuit, §4 poll-and-redirect to a survivor's older version (a
+// weakened forward) once the owner's endpoint is gone, and the typed
+// timeout when no survivor answers.
 //
 // The multi-process test forks the mocha_live CLI (MOCHA_LIVE_BIN) as one
 // server and two --replica-bytes clients ping-ponging an exclusive lock at
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -98,8 +100,8 @@ TEST(LiveTransfer, PullOnGrantMovesReplicaBytes) {
   ASSERT_TRUE(a.client.release(kLock).is_ok());
   EXPECT_EQ(a.client.transfers_pulled(), 0u);
 
-  // B: NEED_NEW_VERSION grant names A; B resolves A through the server and
-  // pulls the bundle from A's daemon directly.
+  // B: NEED_NEW_VERSION grant names A; the server directs A's daemon, which
+  // sends the bundle straight to B (it never heard from B before).
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
   EXPECT_EQ(b.client.version(kLock), 1u);
   EXPECT_EQ(b.daemon.read(kLock, "replica"), written);
@@ -107,7 +109,6 @@ TEST(LiveTransfer, PullOnGrantMovesReplicaBytes) {
   EXPECT_EQ(b.client.transfer_retries(), 0u);
   EXPECT_EQ(b.daemon.stats().transfers_applied, 1u);
   EXPECT_EQ(a.daemon.stats().transfers_served, 1u);
-  EXPECT_GE(server.stats().resolves, 1u);
   ASSERT_TRUE(b.client.release(kLock).is_ok());
 
   server.stop();
@@ -151,69 +152,92 @@ TEST(LiveTransfer, LastLockOwnerReacquiresWithoutDataFrames) {
   server.stop();
 }
 
-// §4 weakened consistency: when the named owner's daemon never answers, the
-// client retries the pull against the home daemon (the lock server's site)
-// and accepts what it holds.
-TEST(LiveTransfer, RetriesPullFromHomeDaemonWhenOwnerIsSilent) {
-  Endpoint server_ep(kServer, 0);
+// A lock server whose failure detector fires within a few hundred ms on
+// loopback: a send fails after 3 unacknowledged resends.
+EndpointOptions quick_failure_detector() {
+  EndpointOptions opts;
+  opts.max_retries = 3;
+  return opts;
+}
+
+// §4 weakened consistency: the owner's node is gone (its endpoint too, so
+// nothing acks the directive), the server polls the surviving daemons and
+// redirects the most recent version still available — older than the one
+// the GRANT names.
+TEST(LiveTransfer, WeakenedForwardFromSurvivorWhenOwnerIsGone) {
+  Endpoint server_ep(kServer, 0, quick_failure_detector());
   LockServer server(server_ep);
   server.start();
-  DaemonService home(server_ep);
-  home.start();
-  const util::Buffer home_copy = make_payload(2048, 21);
-  home.register_replica(kLock, "replica", home_copy);
-  home.publish(kLock, 1);
 
-  Site a(2, server_ep.udp_port(), scaled_options());
-  Site b(3, server_ep.udp_port(), scaled_options());
-  a.daemon.register_replica(kLock, "replica", util::Buffer{});
-  b.daemon.register_replica(kLock, "replica", util::Buffer{});
+  LockClientOptions opts = scaled_options();
+  opts.transfer_timeout_us = 5'000'000LL * time_scale();
+  auto a = std::make_unique<Site>(2, server_ep.udp_port(), opts);
+  Site b(3, server_ep.udp_port(), opts);
+  Site c(4, server_ep.udp_port(), opts);
+  for (Site* site : {a.get(), &b, &c}) {
+    site->daemon.register_replica(kLock, "replica", util::Buffer{});
+  }
 
-  ASSERT_TRUE(a.client.acquire(kLock).is_ok());
-  a.daemon.write(kLock, "replica", make_payload(2048, 33));
-  ASSERT_TRUE(a.client.release(kLock).is_ok());
-
-  // A's daemon goes silent: the direct pull directive lands on a port
-  // nobody reads, forcing the home retry.
-  a.daemon.stop();
+  // C writes version 1; A takes it over and writes version 2.
+  const util::Buffer older = make_payload(2048, 21);
+  ASSERT_TRUE(c.client.acquire(kLock).is_ok());
+  c.daemon.write(kLock, "replica", older);
+  ASSERT_TRUE(c.client.release(kLock).is_ok());
+  ASSERT_TRUE(a->client.acquire(kLock).is_ok());
+  EXPECT_EQ(a->client.version(kLock), 1u);
+  a->daemon.write(kLock, "replica", make_payload(2048, 33));
+  ASSERT_TRUE(a->client.release(kLock).is_ok());
+  a.reset();  // A's node dies with version 2
 
   ASSERT_TRUE(b.client.acquire(kLock).is_ok());
+  EXPECT_EQ(b.client.version(kLock), 1u);
   EXPECT_EQ(b.client.transfer_retries(), 1u);
   EXPECT_EQ(b.client.transfers_pulled(), 1u);
   EXPECT_EQ(b.client.transfer_timeouts(), 0u);
-  EXPECT_EQ(b.daemon.read(kLock, "replica"), home_copy);
-  EXPECT_EQ(home.stats().transfers_served, 1u);
+  EXPECT_EQ(b.daemon.read(kLock, "replica"), older);
+  EXPECT_EQ(c.daemon.stats().transfers_served, 2u);  // to A, then to B
+  EXPECT_GE(b.daemon.stats().polls_answered, 1u);
+  // B publishes on top of what survived; C then takes B's version.
   ASSERT_TRUE(b.client.release(kLock).is_ok());
+  ASSERT_TRUE(c.client.acquire(kLock).is_ok());
+  EXPECT_EQ(c.client.version(kLock), 2u);
+  EXPECT_EQ(c.client.transfer_retries(), 0u);
+  ASSERT_TRUE(c.client.release(kLock).is_ok());
 
-  home.stop();
   server.stop();
 }
 
-// When neither the named owner nor the home daemon delivers, acquire()
-// surfaces a typed kTimeout instead of silently adopting the version number
-// (the lock is left to the server's lease breaker, mirroring the sim).
+// With the owner's endpoint gone and no survivor answering the poll (the
+// requester's own daemon is stopped), the window closes with nothing to
+// redirect, and acquire() surfaces a typed kTimeout instead of silently
+// adopting the version number (the lock is left to the server's lease
+// breaker, mirroring the sim).
 TEST(LiveTransfer, SurfacesTypedTimeoutWhenTransferNeverArrives) {
-  Endpoint server_ep(kServer, 0);
+  Endpoint server_ep(kServer, 0, quick_failure_detector());
   LockServer server(server_ep);
-  server.start();  // no home daemon: nothing reads the server's daemon port
+  server.start();
 
-  Site a(2, server_ep.udp_port(), scaled_options());
-  Site b(3, server_ep.udp_port(), scaled_options());
-  a.daemon.register_replica(kLock, "replica", util::Buffer{});
+  LockClientOptions opts = scaled_options();
+  opts.transfer_timeout_us = 1'500'000LL * time_scale();
+  auto a = std::make_unique<Site>(2, server_ep.udp_port(), opts);
+  Site b(3, server_ep.udp_port(), opts);
+  a->daemon.register_replica(kLock, "replica", util::Buffer{});
   b.daemon.register_replica(kLock, "replica", util::Buffer{});
 
-  ASSERT_TRUE(a.client.acquire(kLock).is_ok());
-  a.daemon.write(kLock, "replica", make_payload(512, 9));
-  ASSERT_TRUE(a.client.release(kLock).is_ok());
-  a.daemon.stop();
+  ASSERT_TRUE(a->client.acquire(kLock).is_ok());
+  a->daemon.write(kLock, "replica", make_payload(512, 9));
+  ASSERT_TRUE(a->client.release(kLock).is_ok());
+  a.reset();
+  b.daemon.stop();
 
   const util::Status status = b.client.acquire(kLock);
   EXPECT_EQ(status.code(), util::StatusCode::kTimeout);
   EXPECT_NE(status.to_string().find("never arrived"), std::string::npos)
       << status.to_string();
   EXPECT_FALSE(b.client.held(kLock));
-  EXPECT_EQ(b.client.transfer_retries(), 1u);
+  EXPECT_EQ(b.client.transfer_retries(), 0u);
   EXPECT_EQ(b.client.transfer_timeouts(), 1u);
+  EXPECT_EQ(b.client.transfers_pulled(), 0u);
 
   server.stop();
 }
@@ -222,12 +246,11 @@ TEST(LiveTransfer, SurfacesTypedTimeoutWhenTransferNeverArrives) {
 util::Buffer data_payload(replica::Version version,
                           const std::vector<std::string>& names,
                           const std::map<std::string, util::Buffer>& contents) {
-  util::Buffer data;
-  util::WireWriter writer(data);
-  writer.u32(kLock);
-  writer.u64(version);
-  writer.raw(marshal_bundle(names, contents));
-  return data;
+  std::vector<replica::BundleView> replicas;
+  for (const std::string& name : names) {
+    replicas.push_back({name, contents.at(name), {}});
+  }
+  return replica::DaemonCore::encode(kLock, version, replicas);
 }
 
 // A bundle cut short on the data port is dropped whole: the names decoded
@@ -379,9 +402,6 @@ void forked_ping_pong(const std::vector<std::string>& backend_args) {
 
   const std::string stats_json = slurp(stats);
   EXPECT_EQ(json_int(stats_json, "locks_broken"), 0);
-  // Each client resolves the other's address at most once; at least one
-  // resolve proves the pull path (not a pre-wired peer table) moved data.
-  EXPECT_GE(json_int(stats_json, "resolves"), 1);
 
   const std::string bench = slurp(dir + "/BENCH_live_transfer.json");
   ASSERT_FALSE(bench.empty()) << "BENCH_live_transfer.json not written";

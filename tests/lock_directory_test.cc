@@ -8,7 +8,10 @@
 //   - the release rule: stale releases ignored, the recovered release (grant
 //     older than a failover, nothing active) accepted,
 //   - the lease-expiry ABA guard and the §4 break + blacklist,
-//   - truncated payloads and saturating lease deadlines.
+//   - truncated payloads and saturating lease deadlines,
+//   - §4 poll-and-redirect as nonblocking state: directives newest version
+//     first with the requester first on ties, a weakened forward, and a
+//     window that closes with no reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,9 +51,22 @@ class FakeSink : public LockDirectorySink {
   void cancel_lease(const LockHold& hold) override {
     leases.erase({hold.site, hold.nonce});
   }
-  void transfer_needed(const LockHold& hold, net::NodeId owner,
-                       Version version) override {
-    transfers.push_back({hold.site, owner, version});
+  void transfer_needed(const TransferDirective& directive) override {
+    transfers.push_back(
+        {directive.msg.dst_site, directive.daemon, directive.msg.version});
+    directive_ids.push_back(directive.id);
+  }
+  void send_poll(std::uint64_t /*transfer_id*/, net::NodeId daemon,
+                 const PollVersionMsg& poll) override {
+    EXPECT_EQ(poll.reply_port, kSyncPort);
+    polls.push_back(daemon);
+  }
+  void poll_window(std::uint64_t transfer_id) override {
+    windows.push_back(transfer_id);
+  }
+  void transfer_step(TransferStep step, const TransferDirective& /*directive*/,
+                     Version /*lock_version*/) override {
+    steps.push_back(step);
   }
   void confirm_owner(const LockHold& hold) override {
     confirms.push_back(hold.site);
@@ -76,6 +92,10 @@ class FakeSink : public LockDirectorySink {
   std::map<std::pair<net::NodeId, std::uint64_t>, std::int64_t> leases;
   std::uint64_t next_lease = 0;
   std::vector<Transfer> transfers;
+  std::vector<std::uint64_t> directive_ids;  // parallel to transfers
+  std::vector<net::NodeId> polls;
+  std::vector<std::uint64_t> windows;
+  std::vector<TransferStep> steps;
   std::vector<net::NodeId> confirms;
   int records = 0;
   std::vector<LockEvent> events;
@@ -113,6 +133,31 @@ class LockDirectoryTest : public ::testing::Test {
     util::Buffer wire;
     msg.encode(wire);
     ASSERT_TRUE(dir_.handle(now, wire));
+  }
+
+  void register_site(net::NodeId site) {
+    util::Buffer wire;
+    RegisterLockMsg{kLock, site}.encode(wire);
+    ASSERT_TRUE(dir_.handle(0, wire));
+  }
+
+  void report(std::int64_t now, net::NodeId site, Version version) {
+    util::Buffer wire;
+    VersionReportMsg{kLock, site, version}.encode(wire);
+    ASSERT_TRUE(dir_.handle(now, wire));
+  }
+
+  // Sites 1..4 hold replicas; site 1 writes version 5; site 2 then asks,
+  // and the directive to site 1's daemon goes unacknowledged.
+  std::uint64_t owner_dies_during_transfer() {
+    for (net::NodeId site = 1; site <= 4; ++site) register_site(site);
+    acquire(0, 1, 11);
+    release(10, 1, 5, {1});
+    acquire(20, 2, 12);
+    EXPECT_EQ(sink_.transfers.size(), 1u);
+    const std::uint64_t id = sink_.directive_ids.back();
+    dir_.transfer_failed(30, id);
+    return id;
   }
 
   FakeSink sink_;
@@ -325,7 +370,7 @@ TEST_F(LockDirectoryTest, TruncatedPayloadChangesNoState) {
 
 TEST_F(LockDirectoryTest, OtherMessagesAreLeftToTheAdapter) {
   util::Buffer wire;
-  ResolveNodeMsg{3, 40}.encode(wire);
+  ShardMapRequestMsg{40}.encode(wire);
   EXPECT_FALSE(dir_.handle(0, wire));
   EXPECT_FALSE(dir_.handle(0, util::Buffer{}));
 }
@@ -345,6 +390,99 @@ TEST_F(LockDirectoryTest, ZeroExpectedHoldUsesDefault) {
   acquire(1'000, 1, 11, LockWireMode::kExclusive, 0);
   EXPECT_EQ((sink_.leases[{1, 11}]),
             1'000 + static_cast<std::int64_t>(kDefaultExpectedHoldUs) + kGrace);
+}
+
+TEST_F(LockDirectoryTest, RedirectsNewestVersionFirstRequesterOnTies) {
+  const std::uint64_t id = owner_dies_during_transfer();
+  EXPECT_EQ(sink_.steps, std::vector<TransferStep>{TransferStep::kOwnerFailed});
+  // The dead owner left the holder set; everyone else (the requester too)
+  // is polled, and the window is armed once.
+  EXPECT_EQ(sink_.polls, (std::vector<net::NodeId>{2, 3, 4}));
+  EXPECT_EQ(sink_.windows, std::vector<std::uint64_t>{id});
+  EXPECT_FALSE(dir_.record(kLock)->holders.contains(1));
+  EXPECT_TRUE(dir_.polling(id));
+
+  report(40, 3, 3);
+  report(41, 4, 5);  // a pushed copy of the newest version
+  EXPECT_TRUE(dir_.polling(id));
+  EXPECT_EQ(sink_.transfers.size(), 1u);
+  report(42, 2, 3);  // the last report closes the window early
+  EXPECT_FALSE(dir_.polling(id));
+
+  // Newest first: site 4 at version 5, not weakened.
+  ASSERT_EQ(sink_.transfers.size(), 2u);
+  EXPECT_EQ(sink_.transfers[1].owner, 4u);
+  EXPECT_EQ(sink_.transfers[1].version, 5u);
+  EXPECT_EQ(sink_.transfers[1].requester, 2u);
+  dir_.transfer_failed(50, id);
+  // Then the tie at version 3, the requester first (a local loopback).
+  ASSERT_EQ(sink_.transfers.size(), 3u);
+  EXPECT_EQ(sink_.transfers[2].owner, 2u);
+  EXPECT_EQ(sink_.transfers[2].version, 3u);
+  dir_.transfer_failed(60, id);
+  ASSERT_EQ(sink_.transfers.size(), 4u);
+  EXPECT_EQ(sink_.transfers[3].owner, 3u);
+  EXPECT_EQ(sink_.steps,
+            (std::vector<TransferStep>{
+                TransferStep::kOwnerFailed, TransferStep::kRedirectFailed,
+                TransferStep::kWeakened, TransferStep::kRedirectFailed,
+                TransferStep::kWeakened}));
+  dir_.transfer_delivered(70, id);
+  EXPECT_EQ(dir_.transfers_pending(), 0u);
+  // A late report for the finished poll is a straggler: nothing moves.
+  report(80, 4, 5);
+  EXPECT_EQ(sink_.transfers.size(), 4u);
+}
+
+TEST_F(LockDirectoryTest, WeakenedForwardLowersTheLockVersion) {
+  const std::uint64_t id = owner_dies_during_transfer();
+  report(40, 2, 0);
+  report(41, 3, 2);
+  dir_.poll_failed(42, id, 4);  // site 4's node is gone too
+  EXPECT_FALSE(dir_.polling(id));
+  ASSERT_EQ(sink_.transfers.size(), 2u);
+  EXPECT_EQ(sink_.transfers[1].owner, 3u);
+  EXPECT_EQ(sink_.transfers[1].version, 2u);
+  EXPECT_EQ(sink_.steps.back(), TransferStep::kWeakened);
+
+  dir_.transfer_delivered(50, id);
+  const LockRecord& record = *dir_.record(kLock);
+  EXPECT_EQ(record.version, 2u);
+  EXPECT_EQ(record.last_owner, 3u);
+  EXPECT_EQ(record.up_to_date, std::set<net::NodeId>{3});
+  EXPECT_EQ(dir_.transfers_pending(), 0u);
+
+  // The requester releases on top of what survived.
+  release(60, 2, 3, {2});
+  EXPECT_EQ(dir_.record(kLock)->version, 3u);
+}
+
+TEST_F(LockDirectoryTest, LateAckAfterTheReleaseChangesNothing) {
+  // Live, a directive's ack can land after the requester already released
+  // a newer version; it must not roll the lock back to the directed one.
+  acquire(0, 1, 11);
+  release(10, 1, 1, {1});
+  acquire(20, 2, 12);
+  ASSERT_EQ(sink_.transfers.size(), 1u);
+  release(30, 2, 2, {2});
+  dir_.transfer_delivered(40, sink_.directive_ids.back());
+  const LockRecord& record = *dir_.record(kLock);
+  EXPECT_EQ(record.version, 2u);
+  EXPECT_EQ(record.last_owner, 2u);
+  EXPECT_EQ(record.up_to_date, std::set<net::NodeId>{2});
+  EXPECT_EQ(dir_.transfers_pending(), 0u);
+}
+
+TEST_F(LockDirectoryTest, WindowClosingWithoutReportsLosesTheTransfer) {
+  const std::uint64_t id = owner_dies_during_transfer();
+  dir_.poll_window_closed(1'000'000, id);
+  EXPECT_FALSE(dir_.polling(id));
+  EXPECT_EQ(sink_.transfers.size(), 1u);  // no directive after the owner's
+  EXPECT_EQ(sink_.steps, (std::vector<TransferStep>{TransferStep::kOwnerFailed,
+                                                    TransferStep::kLost}));
+  EXPECT_EQ(dir_.transfers_pending(), 0u);
+  // The hold itself stands: the lease breaker owns its cleanup.
+  EXPECT_EQ(dir_.active_holds(), 1u);
 }
 
 }  // namespace

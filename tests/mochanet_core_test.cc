@@ -246,6 +246,29 @@ TEST(MochaNetCore, NackResendPushesRtoOut) {
   EXPECT_EQ(core.srtt_us(kPeer), 0);
 }
 
+TEST(MochaNetCore, RepeatedNackIndexIsResentOnce) {
+  FakeSink sink;
+  MochaNetOptions opts;
+  opts.max_frame_bytes = 100;  // 3 fragments, as above
+  opts.rto_us = 10'000;
+  MochaNetCore core(opts, sink);
+
+  const std::uint64_t seq = core.send(0, kPeer, kPort, make_payload(200));
+  core.sent(0, kPeer, seq);
+  ASSERT_EQ(sink.frames.size(), 3u);
+
+  // One hostile NACK naming fragment 0 three hundred times and fragment 2
+  // twice: each named fragment goes out once.
+  std::vector<std::uint32_t> missing(300, 0);
+  missing.push_back(2);
+  missing.push_back(2);
+  core.on_frame(1'000, kPeer, nack_frame(seq, std::move(missing)));
+  ASSERT_EQ(sink.frames.size(), 5u);
+  EXPECT_EQ(sink.frames[3], sink.frames[0]);
+  EXPECT_EQ(sink.frames[4], sink.frames[2]);
+  EXPECT_EQ(core.counters().retransmissions, 2u);
+}
+
 TEST(MochaNetCore, PiggybackTakesAcksThatFitTheMtu) {
   FakeSink sink;
   MochaNetOptions opts;

@@ -363,7 +363,7 @@ TEST(Reactor, ServingShardRunsOnOneThread) {
 }
 
 TEST(Reactor, HybridTcpPullRunsOnTheEndpointLoops) {
-  // Two endpoints with default daemons; B pulls A's 256 KiB replica, which
+  // Two endpoints with default daemons; A sends B its 256 KiB replica, which
   // crosses the hybrid threshold and so goes over TCP. The TCP channel lives
   // on each endpoint's loop: one thread per endpoint, before, during and
   // after the transfer (no extra threads, no extra malloc arenas).
@@ -387,10 +387,12 @@ TEST(Reactor, HybridTcpPullRunsOnTheEndpointLoops) {
     a.publish(kLock, 1);
     EXPECT_EQ(thread_count(), before + 2);
 
-    b.announce_bulk(2);
+    // The directive names B's TCP contact, as the lock server's would.
     util::Buffer directive;
-    replica::TransferReplicaMsg{kLock, 1, 3, replica::kDaemonDataPort}.encode(
-        directive);
+    replica::TransferReplicaMsg{kLock,       1, 3, replica::kDaemonDataPort,
+                                0,           0, b.bulk_caps(),
+                                b.tcp_port()}
+        .encode(directive);
     b_ep.send(2, replica::kDaemonPort, std::move(directive));
     // Sample the thread count while the bundle is in flight.
     const std::int64_t deadline =

@@ -26,7 +26,7 @@ src/util/analysis_annotations.h:
                      findings unless the site carries MOCHA_RAW_WIRE_OK.
   callback-capture   [check 3] Lambdas armed on a reactor (post,
                      call_after, call_at, watch_fd, set_port_handler,
-                     run_on_loop) must not capture
+                     run_on_loop, send_tracked) must not capture
                      locals by reference, and may capture `this` only
                      from a class carrying the class-level
                      MOCHA_REACTOR_SAFE marker (documented teardown
@@ -76,9 +76,10 @@ WIRE_DIRS = ("src/live", "src/net", "src/replica")
 WIRE_EXTRA_FILES = ("src/util/buffer.h",)
 
 # Calls whose lambda arguments run on a reactor's loop thread. Endpoint
-# port handlers and run_on_loop callbacks run on the endpoint's loop.
+# port handlers, run_on_loop callbacks and tracked-send outcomes run on the
+# endpoint's loop.
 ARMING_APIS = ("post", "call_after", "call_at", "watch_fd",
-               "set_port_handler", "run_on_loop")
+               "set_port_handler", "run_on_loop", "send_tracked")
 
 # ::name calls (global scope) that block the calling thread.
 GLOBAL_BLOCKING = {

@@ -22,9 +22,10 @@ Parses the two wire enums straight out of the source text —
      protocol messages) must be exercised by name in
      tests/frame_conformance_test.cc,
   5. every MsgType enumerator with a typed codec must be referenced under
-     src/live/ (as ``kX`` or its ``XMsg`` struct) — the live backend speaks
-     the same lock protocol as the sim, and a codec the live runtime never
-     touches means the two backends have drifted,
+     src/live/ or in one of the protocol cores the live runtime links (as
+     ``kX`` or its ``XMsg`` struct) — the live backend speaks the same lock
+     protocol as the sim, and a codec the live runtime never touches means
+     the two backends have drifted,
   6. the telemetry vocabulary must be live: every ``trace::EventKind``
      enumerator is recorded (``EventKind::kX``) somewhere under src/
      outside its own header, and every metric leaf named in the
@@ -55,6 +56,13 @@ CONFORMANCE_TEST = "tests/frame_conformance_test.cc"
 # The reliability core is the only frame dispatcher; the sim and live
 # endpoints are adapters around it and never look at a frame type.
 FRAME_DISPATCHERS = ["src/net/mochanet_core.cc"]
+# Rule 5: the protocol cores both runtimes run. The live runtime speaks a
+# message through one of these as much as through its own src/live/ code.
+SHARED_CORES = [
+    "src/replica/lock_directory.cc",
+    "src/replica/daemon_core.cc",
+    "src/replica/lock_client_core.cc",
+]
 # Rule 6 inputs: the shared event vocabulary, the human-facing metric
 # catalog, and the dashboard that scrapes the registry.
 EVENT_KIND_HEADER = "src/trace/event_kind.h"
@@ -158,7 +166,7 @@ def check_msg_types(files: dict[str, str], findings: list[str]) -> None:
     live_files = {
         path: text
         for path, text in files.items()
-        if path.startswith("src/live/")
+        if path.startswith("src/live/") or path in SHARED_CORES
     }
     for name, _ in entries:
         if not re.search(rf"\.u8\(\s*{name}\s*\)", files[WIRE_HEADER]):
@@ -173,7 +181,8 @@ def check_msg_types(files: dict[str, str], findings: list[str]) -> None:
         if not any(re.search(live_ref, text) for text in live_files.values()):
             findings.append(
                 f"MsgType {name} has a typed codec in {WIRE_HEADER} but is "
-                f"never referenced (as {name} or {codec}) under src/live/"
+                f"never referenced (as {name} or {codec}) under src/live/ "
+                f"or in the shared cores"
             )
 
 
@@ -336,8 +345,8 @@ def self_test(files: dict[str, str]) -> int:
     broken = mutate(
         files,
         WIRE_HEADER,
-        "kNodeAddr = 24,",
-        "kNodeAddr = 24,\n  kGhost = 98,  // writer.u8(kGhost)",
+        "kShardMapReply = 26,",
+        "kShardMapReply = 26,\n  kGhost = 98,  // writer.u8(kGhost)",
     )
     found = run_lint(broken)
     if not any("kGhost" in f and "src/live/" in f for f in found):
@@ -351,7 +360,7 @@ def self_test(files: dict[str, str]) -> int:
         files,
         CONFORMANCE_TEST,
         "reader.u8(), replica::kShardMapRequest",
-        "reader.u8(), replica::kNodeAddr + 1",
+        "reader.u8(), replica::kShardMapReply - 1",
     )
     found = run_lint(broken)
     if not any("kShardMapRequest" in f and "not exercised" in f for f in found):
@@ -359,39 +368,39 @@ def self_test(files: dict[str, str]) -> int:
             f"missing shard-map conformance coverage not flagged: {found}"
         )
 
-    # A shard-map enumerator colliding with the resolve family must be
-    # flagged (same class of bug as the historic kGrant/kRefreshCached
-    # collision, now guarding the 24/25/26 range).
+    # The reply of the shard-map pair sliding onto the request's value must
+    # be flagged (same class of bug as the historic kGrant/kRefreshCached
+    # collision; both ride kSyncPort).
     broken = mutate(
-        files, WIRE_HEADER, "kShardMapRequest = 25", "kShardMapRequest = 24"
+        files, WIRE_HEADER, "kShardMapReply = 26", "kShardMapReply = 25"
     )
     found = run_lint(broken)
-    if not any("value 24" in f and "kShardMapRequest" in f for f in found):
+    if not any("value 25" in f and "kShardMapReply" in f for f in found):
         failures.append(f"shard-map MsgType collision not flagged: {found}")
 
-    # The §10 bulk negotiation: the ack enumerator sliding onto the hello's
-    # value must be flagged — both ride kDaemonPort, so this collision
-    # aliases on the wire immediately, same class as kGrant/kRefreshCached.
+    # The daemon-port pair: a poll sliding onto the directive's value must
+    # be flagged — both ride kDaemonPort, so this collision aliases on the
+    # wire immediately, same class as kGrant/kRefreshCached.
     broken = mutate(
-        files, WIRE_HEADER, "kBulkHelloAck = 28", "kBulkHelloAck = 27"
+        files, WIRE_HEADER, "kPollVersion = 12", "kPollVersion = 10"
     )
     found = run_lint(broken)
-    if not any("value 27" in f and "kBulkHelloAck" in f for f in found):
-        failures.append(f"bulk-hello MsgType collision not flagged: {found}")
+    if not any("value 10" in f and "kPollVersion" in f for f in found):
+        failures.append(f"daemon-port MsgType collision not flagged: {found}")
 
-    # Dropping the kBulkHelloAck round-trip from the conformance test must
-    # be flagged (the hello keeps its own coverage; only the ack reference
+    # Dropping the kPollVersion round-trip from the conformance test must be
+    # flagged (the directive keeps its own coverage; only the poll reference
     # disappears, as a careless refactor would leave it).
     broken = mutate(
         files,
         CONFORMANCE_TEST,
-        "reader.u8(), replica::kBulkHelloAck",
-        "reader.u8(), replica::kBulkHello + 1",
+        "reader.u8(), replica::kPollVersion",
+        "reader.u8(), replica::kTransferReplica + 2",
     )
     found = run_lint(broken)
-    if not any("kBulkHelloAck" in f and "not exercised" in f for f in found):
+    if not any("kPollVersion" in f and "not exercised" in f for f in found):
         failures.append(
-            f"missing bulk-hello conformance coverage not flagged: {found}"
+            f"missing poll-version conformance coverage not flagged: {found}"
         )
 
     # The telemetry scrape pair (§11): the reply enumerator sliding onto the

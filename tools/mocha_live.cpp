@@ -60,9 +60,9 @@
 // transfer on every acquire (live::DaemonService; the wall-clock twin of the
 // paper's Figs. 9-14 entry-consistency measurements). --replica-bytes takes
 // a comma-separated size list; size i uses lock id --lock + i and one
-// replica named "replica". Each round acquires (wall-clocked: grant + pull),
-// rewrites the replica, releases. With two ping-ponging clients every
-// acquire needs a transfer:
+// replica named "replica". Each round acquires (wall-clocked: grant +
+// transfer), rewrites the replica, releases. With two ping-ponging clients
+// every acquire needs a transfer:
 //   mocha_live --client --site 2 --server-addr 127.0.0.1:7000 --rounds 30
 //              --replica-bytes 1024,4096,262144 [--replica-barrier N]
 //              [--replica-dump-file F] [--bench-json-dir D]
@@ -78,9 +78,10 @@
 // {udp,tcp,hybrid} selects how daemon→daemon replica bundles move (control
 // messages always stay on MochaNet UDP). When the flag is absent,
 // MOCHA_BULK_BACKEND in the environment applies; default hybrid: bundles of
-// 64 KiB and up over TCP, smaller ones over UDP. tcp and hybrid negotiate per
-// peer via BULK-HELLO and fall back to udp against peers that never
-// advertised TCP, so mixed fleets interoperate.
+// 64 KiB and up over TCP, smaller ones over UDP. Each site registers its
+// daemon's bulk contact with the lock server, which passes it on in every
+// transfer directive; a daemon falls back to udp toward a requester that
+// never advertised TCP, so mixed fleets interoperate.
 //
 // WAN emulation (server and client, applied in the endpoint's own recv path,
 // no root/tc needed): --loss-pct P drops P% of inbound datagrams,
@@ -643,7 +644,7 @@ class TelemetryPump {
 };
 
 // One hosted lock-directory shard: endpoint + reactor-driven server + home
-// replica daemon (the §4 pull-retry target for the shard's locks).
+// replica daemon.
 struct ShardHost {
   std::uint32_t shard = 0;
   std::unique_ptr<mocha::live::Endpoint> endpoint;
@@ -771,13 +772,11 @@ int run_server(const Args& args) {
     total.releases += stats.releases;
     total.locks_broken += stats.locks_broken;
     total.registrations += stats.registrations;
-    total.resolves += stats.resolves;
     total.shard_map_requests += stats.shard_map_requests;
     daemon_total.transfers_served += daemon_stats.transfers_served;
     daemon_total.transfers_applied += daemon_stats.transfers_applied;
     daemon_total.bulk_fast_served += daemon_stats.bulk_fast_served;
     daemon_total.bulk_fallbacks += daemon_stats.bulk_fallbacks;
-    daemon_total.bulk_peers_known += daemon_stats.bulk_peers_known;
     per_shard.push_back(stats);
     per_daemon.push_back(daemon_stats);
   }
@@ -790,7 +789,6 @@ int run_server(const Args& args) {
         << "  \"releases\": " << total.releases << ",\n"
         << "  \"locks_broken\": " << total.locks_broken << ",\n"
         << "  \"registrations\": " << total.registrations << ",\n"
-        << "  \"resolves\": " << total.resolves << ",\n"
         << "  \"shard_map_requests\": " << total.shard_map_requests << ",\n"
         << "  \"transfers_served\": " << daemon_total.transfers_served
         << ",\n"
@@ -801,8 +799,6 @@ int run_server(const Args& args) {
         << "  \"bulk_fast_served\": " << daemon_total.bulk_fast_served
         << ",\n"
         << "  \"bulk_fallbacks\": " << daemon_total.bulk_fallbacks << ",\n"
-        << "  \"bulk_peers_known\": " << daemon_total.bulk_peers_known
-        << ",\n"
         << "  \"shards\": [\n";
     for (std::size_t i = 0; i < per_shard.size(); ++i) {
       const auto& s = per_shard[i];
@@ -811,7 +807,6 @@ int run_server(const Args& args) {
           << ", \"releases\": " << s.releases
           << ", \"locks_broken\": " << s.locks_broken
           << ", \"registrations\": " << s.registrations
-          << ", \"resolves\": " << s.resolves
           << ", \"shard_map_requests\": " << s.shard_map_requests
           << ", \"queued_waiters\": " << s.queued_waiters
           << ", \"active_leases\": " << s.active_leases
@@ -1033,8 +1028,8 @@ bool version_barrier(mocha::live::LockClient& plain,
 }
 
 // Replica workload: entry-consistency rounds with a live daemon attached —
-// every NEED_NEW_VERSION acquire pulls the replica bundle from the previous
-// owner's daemon before returning. The measured latency is the full
+// every NEED_NEW_VERSION acquire waits for the bundle the server directs
+// the previous owner's daemon to send. The measured latency is the full
 // acquire-with-transfer (grant round trip + directive + bundle transfer).
 int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
                 const mocha::live::ShardMap& shard_map) {
@@ -1051,7 +1046,7 @@ int run_replica(const Args& args, mocha::live::Endpoint& endpoint,
   copts.grant_timeout_us =
       static_cast<std::int64_t>(10'000'000 * scale);
   copts.transfer_timeout_us =
-      static_cast<std::int64_t>(2'000'000 * scale);
+      static_cast<std::int64_t>(4'000'000 * scale);
   mocha::live::LockClient client(endpoint, kServerNode, copts, &daemon);
   client.set_shard_map(shard_map);
 
