@@ -6,17 +6,13 @@ Compares candidate ``BENCH_*.json`` files (util::write_bench_json format:
 committed baselines in ``bench/baselines/`` and fails when a watched
 latency metric regressed by more than the threshold.
 
-  check_bench.py --baseline-dir bench/baselines --candidate-dir build \\
-      --compare BENCH_live_wan.json:p50_latency,p99_latency \\
-      --compare BENCH_live_transfer.json:p99_acquire_1024 \\
-      [--max-regress-pct 15]
+  check_bench.py --baseline-dir bench/baselines --candidate-dir scen-out \\
+      --compare-glob 'BENCH_live_*.json' [--max-regress-pct 15]
 
-Scenario envelopes (docs/SCENARIOS.md) are gated in bulk instead of being
-spelled out one ``--compare`` at a time: ``--compare-glob
-'BENCH_scenario_*.json'`` matches every baseline file of that name under
+``--compare-glob`` matches every baseline file of that name under
 ``--baseline-dir`` and reads the watched metric names from the baseline's
-own top-level ``"gated"`` list, so adding a scenario means committing one
-envelope file, not editing every CI invocation.
+own top-level ``"gated"`` list, so adding an envelope means committing one
+baseline file, not editing every CI invocation.
 
 All watched metrics are lower-is-better (latencies in microseconds): a
 candidate value above ``baseline * (1 + pct/100)`` is a regression.
@@ -25,7 +21,7 @@ the baselines only need refreshing when the code actually gets faster.
 
 Every run prints a per-metric pass/fail table; when ``$GITHUB_STEP_SUMMARY``
 is set (GitHub Actions), the same table is appended there as markdown so a
-bench-gate failure is readable from the run page without downloading
+gate failure is readable from the run page without downloading
 artifacts.
 
 Run with ``--self-test`` to prove the gate still trips: it evaluates
@@ -69,16 +65,6 @@ def load_metrics(path: Path) -> dict[str, float]:
     if not metrics:
         raise GateError(f"{path}: no metrics")
     return metrics
-
-
-def parse_compare(spec: str) -> tuple[str, list[str]]:
-    filename, sep, names = spec.partition(":")
-    metrics = [m for m in names.split(",") if m]
-    if not sep or not filename or not metrics:
-        raise GateError(
-            f"--compare spec {spec!r} must be FILE:metric[,metric...]"
-        )
-    return filename, metrics
 
 
 def expand_glob(baseline_dir: Path, pattern: str) -> list[tuple[str, list[str]]]:
@@ -234,14 +220,6 @@ def self_test() -> int:
     except GateError:
         pass
 
-    # Malformed compare specs are usage errors.
-    for spec in ("BENCH_x.json", "BENCH_x.json:", ":p99_latency"):
-        try:
-            parse_compare(spec)
-            failures.append(f"bad spec accepted: {spec!r}")
-        except GateError:
-            pass
-
     # Glob expansion: baselines name their own gated metrics, matched in
     # sorted order; a baseline without a "gated" list and an empty match
     # are both hard errors (a typo'd glob must not silently gate nothing).
@@ -324,13 +302,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--baseline-dir", type=Path)
     parser.add_argument("--candidate-dir", type=Path)
     parser.add_argument(
-        "--compare",
-        action="append",
-        default=[],
-        metavar="FILE:METRIC[,METRIC...]",
-        help="bench file (relative to both dirs) and the metrics to gate",
-    )
-    parser.add_argument(
         "--compare-glob",
         action="append",
         default=[],
@@ -349,13 +320,13 @@ def main(argv: list[str]) -> int:
     try:
         if args.self_test:
             return self_test()
-        if not args.baseline_dir or not args.candidate_dir or not (
-                args.compare or args.compare_glob):
+        if not (args.baseline_dir and args.candidate_dir
+                and args.compare_glob):
             raise GateError(
-                "--baseline-dir, --candidate-dir and --compare/"
-                "--compare-glob are required"
+                "--baseline-dir, --candidate-dir and --compare-glob are "
+                "required"
             )
-        compares = [parse_compare(spec) for spec in args.compare]
+        compares: list[tuple[str, list[str]]] = []
         for pattern in args.compare_glob:
             compares.extend(expand_glob(args.baseline_dir, pattern))
         return run_gate(

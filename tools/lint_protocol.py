@@ -34,6 +34,10 @@ Parses the two wire enums straight out of the source text —
      produces is a stale doc row, and a scraped one is a dashboard that
      silently reads zeros.
 
+Rules 2-5 look at code only: ``//`` and ``/* */`` comments are stripped
+first, so a codec named in a comment does not count as spoken. Rule 6
+reads string literals and keeps the raw text.
+
 Run with ``--self-test`` to prove the lint still catches violations: it
 re-runs every check against deliberately broken in-memory copies of the
 sources and fails if any expected finding is missed.
@@ -101,6 +105,25 @@ def parse_enum(text: str, enum_name: str) -> list[tuple[str, int]]:
     if not entries:
         raise ParseError(f"enum {enum_name} has no enumerators")
     return entries
+
+
+# A comment, or a string/char literal that may contain comment markers.
+# The char-literal arm skips C++14 digit separators (300'000).
+_COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?\*/"
+    r"|\"(?:\\.|[^\"\\\n])*\"|(?<![0-9A-Fa-f])'(?:\\.|[^'\\\n])*'",
+    re.DOTALL,
+)
+
+
+def strip_comments(text: str) -> str:
+    """Source text with every comment blanked; line breaks are kept."""
+    def blank(match: re.Match) -> str:
+        token = match.group(0)
+        if token.startswith(("//", "/*")):
+            return "\n" * token.count("\n") or " "
+        return token
+    return _COMMENT_OR_LITERAL.sub(blank, text)
 
 
 def check_unique_values(
@@ -281,8 +304,9 @@ def check_observability(files: dict[str, str], findings: list[str]) -> None:
 
 def run_lint(files: dict[str, str]) -> list[str]:
     findings: list[str] = []
-    check_frame_types(files, findings)
-    check_msg_types(files, findings)
+    code = {path: strip_comments(text) for path, text in files.items()}
+    check_frame_types(code, findings)
+    check_msg_types(code, findings)
     check_observability(files, findings)
     return findings
 
@@ -340,17 +364,35 @@ def self_test(files: dict[str, str]) -> int:
         failures.append(f"orphan MsgType not fully flagged: {found}")
 
     # A typed codec the live backend never references must be flagged: the
-    # injected comment satisfies the producer + typed-codec regexes, so the
-    # findings are exactly {no consumer, no conformance test, no live ref}.
-    broken = mutate(
-        files,
+    # injected GhostMsg encoder is a producer and makes kGhost a typed
+    # codec, so the findings are {no consumer, no conformance test, no
+    # live ref}.
+    ghost = mutate(
+        mutate(files, WIRE_HEADER, "kShardMapReply = 26,",
+               "kShardMapReply = 26,\n  kGhost = 98,"),
         WIRE_HEADER,
-        "kShardMapReply = 26,",
-        "kShardMapReply = 26,\n  kGhost = 98,  // writer.u8(kGhost)",
+        "struct StatsRequestMsg {",
+        "struct GhostMsg {\n"
+        "  void encode(util::WireWriter& writer) const {\n"
+        "    writer.u8(kGhost);\n"
+        "  }\n"
+        "};\n\nstruct StatsRequestMsg {",
+    )
+    found = run_lint(ghost)
+    if not any("kGhost" in f and "src/live/" in f for f in found):
+        failures.append(f"live-coverage gap not flagged: {found}")
+
+    # A live-side reference that sits only in comments does not count.
+    broken = mutate(
+        mutate(ghost, "src/live/lock_server.cc",
+               '#include "live/lock_server.h"',
+               '#include "live/lock_server.h"  // serves kGhost'),
+        "src/live/daemon.cc", '#include "live/daemon.h"',
+        '#include "live/daemon.h"\n/* GhostMsg is\n   applied here */',
     )
     found = run_lint(broken)
     if not any("kGhost" in f and "src/live/" in f for f in found):
-        failures.append(f"live-coverage gap not flagged: {found}")
+        failures.append(f"comment-only live reference counted: {found}")
 
     # The §9 shard-map handshake: dropping the kShardMapRequest round-trip
     # from the conformance test must be flagged (the value survives as

@@ -218,8 +218,6 @@ struct Args {
   std::int64_t delay_us = 0;
   double bw_kbps = 0.0;
   bool fixed_rto = false;
-  std::int64_t rto_us = 0;       // 0 = endpoint default
-  std::int64_t ack_delay_us = -1;  // -1 = endpoint default
 };
 
 // Widens wall-clock timeouts under sanitizer slowdown (the ctest lanes set
@@ -253,8 +251,6 @@ mocha::live::EndpointOptions make_endpoint_options(const Args& args,
   // per (site, salt).
   opts.netem_seed =
       0x6d6f636861u + (args.site + seed_salt * 97u) * 2654435761u;
-  if (args.rto_us > 0) opts.rto_us = args.rto_us;
-  if (args.ack_delay_us >= 0) opts.ack_delay_us = args.ack_delay_us;
   if (args.fixed_rto) {
     // The PR 1 transport: fixed RTO, whole-message resend only, every ack
     // standalone and immediate.
@@ -301,7 +297,7 @@ int usage(const char* argv0) {
                "WAN emulation / transport (server and client):\n"
                "          [--bulk-backend udp|tcp|hybrid]\n"
                "          [--loss-pct P] [--delay-us N] [--bw-kbps B]"
-               " [--fixed-rto] [--rto-us N] [--ack-delay-us N]\n",
+               " [--fixed-rto]\n",
                argv0, argv0, argv0, argv0);
   return 64;
 }
@@ -422,14 +418,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = value();
       if (!v) return false;
       args.bw_kbps = std::atof(v);
-    } else if (arg == "--ack-delay-us") {
-      const char* v = value();
-      if (!v) return false;
-      args.ack_delay_us = std::strtoll(v, nullptr, 10);
-    } else if (arg == "--rto-us") {
-      const char* v = value();
-      if (!v) return false;
-      args.rto_us = std::strtoll(v, nullptr, 10);
     } else if (arg == "--port") {
       const char* v = value();
       if (!v) return false;

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Scenario & chaos matrix runner for the live runtime (docs/SCENARIOS.md).
 
-Launches a sharded ``mocha_live`` cluster plus a declarative matrix of
-client-process groups per named scenario, verifies workload correctness
-(exact mutual-exclusion counter equality, expected process exits, telemetry
-assertions scraped from the server's ``--stats-json`` registry dump), and
-emits one ``BENCH_scenario_<name>.json`` per scenario for the envelope gate
-(``tools/check_bench.py --compare-glob`` against ``bench/baselines/``).
+Launches sharded ``mocha_live`` clusters per named scenario, verifies each
+run (expected process exits, a clean server exit on SIGTERM, plus the
+scenario's own checks) and emits one ``BENCH_<name>.json`` envelope per
+scenario for the gate (``tools/check_bench.py --compare-glob`` against
+``bench/baselines/``, whose files name their own ``"gated"`` metrics).
 
-Scenarios (catalog + envelope-tuning guide in docs/SCENARIOS.md):
+Lock-workload scenarios (``BENCH_scenario_<name>.json``; exact
+mutual-exclusion counter equality, telemetry assertions scraped from the
+server's ``--stats-json`` registry dump):
 
   baseline   uncontended distinct locks across shards — the floor the other
              scenarios are read against
@@ -23,6 +24,11 @@ Scenarios (catalog + envelope-tuning guide in docs/SCENARIOS.md):
              survivors' shared lock and are SIGKILLed while holding, so
              progress depends on the server's lease breaker
 
+Live benches of the paper's results (``BENCH_live_<name>.json``; see
+LIVE_SCENARIOS): WAN transfers, replica-transfer latency, the 1/2/4-shard
+sweep, and the udp/tcp/hybrid bulk sweep with the §4.3 crossover, the
+hybrid routing rule and the tcp arm's fast path checked.
+
 Profiles: ``smoke`` (ctest label `scenario`: seconds-fast subset sizes),
 ``ci`` (the gated scale the committed envelopes are tuned for), ``full``
 (nightly lane: 2x clients and rounds, artifacts retained, no gate).
@@ -32,7 +38,9 @@ Usage:
       [--profile ci] [--scenarios hotkey,storm] [--list]
   run_scenarios.py --self-test
 
-The schedule (wave starts, kill times, ready/exit deadlines) stretches with
+Every mocha_live process leaves its final stats snapshot and flight-recorder
+dump in the output directory (MOCHA_STATS_DIR, docs/OBSERVABILITY.md). The
+schedule (wave starts, kill times, ready/exit deadlines) stretches with
 MOCHA_TEST_TIME_SCALE, same contract as the live ctest suite.
 
 Exit status: 0 all scenarios passed, 1 correctness/workload failure,
@@ -79,7 +87,6 @@ SCENARIOS = {
                 "lock": 1, "distinct": True, "counters": True,
             },
         ],
-        "gated": ["p50_acquire_us", "p99_acquire_us"],
     },
     "hotkey": {
         "description": "Zipf-skewed popularity, 256 clients on 64 locks",
@@ -91,7 +98,6 @@ SCENARIOS = {
                 "counters": True, "grant_timeout_us": 60_000_000,
             },
         ],
-        "gated": ["p50_acquire_us", "p99_acquire_us"],
     },
     "churn": {
         "description": "three client waves joining/leaving mid-run",
@@ -106,7 +112,6 @@ SCENARIOS = {
             }
             for i in range(3)
         ],
-        "gated": ["p50_acquire_us", "p99_acquire_us"],
     },
     "partition": {
         "description": "asymmetric loss/delay between node groups",
@@ -128,7 +133,6 @@ SCENARIOS = {
                 "netem": {"loss_pct": 4, "delay_us": 30_000},
             },
         ],
-        "gated": ["p50_acquire_us", "p99_acquire_us"],
     },
     "storm": {
         "description": "lease-break storms: holders SIGKILLed mid-hold",
@@ -156,13 +160,45 @@ SCENARIOS = {
             },
         ],
         "checks": {"min_lease_breaks": 1},
-        "gated": ["p50_acquire_us", "p99_acquire_us"],
     },
 }
 
 
+# Live benches: one or more clusters run in turn, whose per-process results
+# merge into one BENCH_live_<name>.json (planned by plan_live).
+LIVE_SCENARIOS = {
+    "wan": "4 KiB transfers under 2% loss, 20 ms delay, 6 Mbit/s",
+    "transfer": "replica ping-pong at 1/4/256 KiB, 20 ms delay, udp bulk",
+    "shards": "128 clients on distinct locks at 1, 2 and 4 shards",
+    "hybrid": "replica ping-pong 1 KiB..1 MiB, udp vs tcp vs hybrid bulk",
+}
+SHARD_COUNTS = (1, 2, 4)
+HYBRID_SIZES = (1024, 8192, 65536, 262144, 1048576)
+HYBRID_BACKENDS = ("udp", "tcp", "hybrid")
+
+# Stands for the server's bootstrap port in a planned client argv.
+PORT = "{port}"
+
+
 class ScenarioError(Exception):
-    """Bad configuration (unknown scenario/profile, malformed spec)."""
+    """Bad configuration (unknown scenario/profile, malformed spec), or a
+    bench result that cannot be read or fails its checks."""
+
+
+@dataclass
+class Proc:
+    label: str
+    argv: list[str]
+    start_after_us: int = 0
+    kill_after_us: int | None = None  # SIGKILL this long after ITS start
+
+
+@dataclass
+class Cluster:
+    """One server (with a --ready-file) and the clients run against it."""
+    label: str
+    server: list[str]
+    clients: list[Proc]
 
 
 @dataclass
@@ -202,7 +238,6 @@ class Plan:
     clients: list[ClientSpec]
     expected_counter_total: int
     checks: dict
-    gated: list[str]
 
 
 def scale_count(value: int, factor: float) -> int:
@@ -274,10 +309,10 @@ def plan_scenario(name: str, profile: str, time_scale: float = 1.0) -> Plan:
                 expected += n_clients * rounds
     return Plan(name=name, profile=profile, server=server, clients=clients,
                 expected_counter_total=expected,
-                checks=spec.get("checks", {}), gated=list(spec["gated"]))
+                checks=spec.get("checks", {}))
 
 
-def build_client_argv(bin_path: str, spec: ClientSpec, port: int,
+def build_client_argv(bin_path: str, spec: ClientSpec, port: int | str,
                       scenario_dir: Path) -> list[str]:
     argv = [bin_path, "--client", "--site", str(spec.site),
             "--server-addr", f"127.0.0.1:{port}",
@@ -315,6 +350,84 @@ def build_server_argv(bin_path: str, server: ServerSpec,
     if server.lease_grace_us is not None:
         argv += ["--lease-grace-us", str(server.lease_grace_us)]
     return argv
+
+
+def plan_live(name: str, profile: str, bin_path: str,
+              out_dir: Path) -> list[Cluster]:
+    """The clusters one live bench runs in turn. At the `ci` profile these
+    are the command lines bench/baselines/ was recorded with. BENCH JSONs
+    and server stats land in out_dir, ready files and latency dumps in
+    out_dir/<name>."""
+    factors = PROFILES[profile]
+    scenario_dir = out_dir / name
+    out = str(out_dir)
+    addr = ["--server-addr", f"127.0.0.1:{PORT}"]
+
+    def count(value: int, key: str) -> str:
+        return str(scale_count(value, factors[key]))
+
+    def server(*flags: str) -> list[str]:
+        return [bin_path, "--server", "--port", "0", *flags]
+
+    def ready(label: str) -> str:
+        return str(scenario_dir / f"ready_{label}")
+
+    def pingpong(rounds: int, sizes: str, pre: list[str], bench: list[str],
+                 post: list[str]) -> list[Proc]:
+        # Two clients trade one lock; site 2 measures and writes the JSON.
+        return [Proc(f"site {site}", [
+            bin_path, "--client", "--site", str(site), *addr,
+            "--rounds", count(rounds, "rounds"), "--replica-bytes", sizes,
+            "--replica-barrier", "2", *pre, *(bench if site == 2 else []),
+            "--quiet", *post]) for site in (2, 3)]
+
+    if name == "wan":
+        wan = netem_flags({"loss_pct": 2, "delay_us": 20_000,
+                           "bw_kbps": 6000})
+        return [Cluster("wan", server(
+            "--ready-file", ready("wan"), "--quiet", *wan), [Proc("site 2", [
+                bin_path, "--client", "--transfer", "--site", "2", *addr,
+                "--rounds", count(100, "rounds"), "--bytes", "4096",
+                "--concurrency", "4", "--bench-json-dir", out,
+                "--bench-name", "live_wan", "--quiet", *wan])])]
+    if name == "transfer":
+        # Pinned to the UDP bulk arm: the delay is emulated inside the
+        # endpoint, which the hybrid default's TCP leg for 256 KiB bundles
+        # would bypass.
+        delay = ["--delay-us", "20000", "--bulk-backend", "udp"]
+        return [Cluster("transfer", server(
+            "--ready-file", ready("transfer"),
+            "--stats-file", str(out_dir / "transfer_server_stats.json"),
+            "--quiet", *delay), pingpong(
+                40, "1024,4096,262144", [], ["--bench-json-dir", out],
+                delay))]
+    if name == "shards":
+        # One server process hosting every shard (a reactor thread each);
+        # each client process takes a disjoint lock-id base, so every
+        # acquire is uncontended and the sweep measures grant dispatch.
+        procs = scale_count(4, factors["procs"])
+        return [Cluster(f"s{s}", server(
+            "--shards", str(s), "--ready-file", ready(f"s{s}"),
+            "--stats-file", str(out_dir / f"shard_server_stats_s{s}.json"),
+            "--quiet"), [Proc(f"site {1 + p}", [
+                bin_path, "--client", "--site", str(1 + p), *addr,
+                "--clients", count(32, "clients"), "--distinct-locks",
+                "--lock", str(p * 1000), "--rounds", count(40, "rounds"),
+                "--latency-dump-file", str(scenario_dir / f"lat_s{s}_p{p}"),
+                "--bench-json-dir", out,
+                "--bench-name", f"live_shards_s{s}_p{p}", "--quiet"])
+                for p in range(1, procs + 1)])
+            for s in SHARD_COUNTS]
+    if name == "hybrid":
+        # 30 rounds: 16-round medians wobbled the crossover bucket.
+        sizes = ",".join(map(str, HYBRID_SIZES))
+        return [Cluster(be, server(
+            "--ready-file", ready(be), "--bulk-backend", be,
+            "--quiet"), pingpong(
+                30, sizes, ["--bulk-backend", be],
+                ["--bench-json-dir", out, "--bench-name", f"live_hybrid_{be}"],
+                [])) for be in HYBRID_BACKENDS]
+    raise ScenarioError(f"unknown live scenario {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +479,9 @@ def check_telemetry(metrics: dict[str, float], plan: Plan) -> str | None:
     return None
 
 
-def merge_latencies(scenario_dir: Path) -> list[int]:
+def merge_latencies(scenario_dir: Path, pattern: str = "lat_*") -> list[int]:
     merged: list[int] = []
-    for path in sorted(scenario_dir.glob("lat_*")):
+    for path in sorted(scenario_dir.glob(pattern)):
         for line in path.read_text().splitlines():
             line = line.strip()
             if line:
@@ -407,10 +520,108 @@ def bench_metrics(latencies: list[int], wall_us: float,
 
 
 def write_bench_json(out_dir: Path, name: str, metrics: list[dict]) -> Path:
-    path = out_dir / f"BENCH_scenario_{name}.json"
-    path.write_text(json.dumps({"name": f"scenario_{name}",
-                                "metrics": metrics}, indent=2) + "\n")
+    path = out_dir / f"BENCH_{name}.json"
+    path.write_text(json.dumps({"name": name, "metrics": metrics},
+                               indent=2) + "\n")
     return path
+
+
+def load_bench(path: Path) -> dict[str, float]:
+    """Metrics of one BENCH_*.json. A process that died after it was reaped
+    can leave an empty or truncated file; that is an error here, not a
+    "missing metric" for the gate to misread."""
+    try:
+        doc = json.loads(path.read_text())
+        metrics = {str(m["name"]): float(m["value"]) for m in doc["metrics"]}
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise ScenarioError(f"{path.name}: unreadable bench JSON: {err!r}")
+    if not metrics:
+        raise ScenarioError(f"{path.name}: no metrics in bench JSON")
+    return metrics
+
+
+def merge_shards(out_dir: Path, lat_dir: Path) -> list[dict]:
+    """BENCH_live_shards metrics: acquire percentiles over the union of every
+    client process's dump, locks/s as the sum of the concurrent processes'
+    throughputs, and the scaling ratios. scaling_x4_inverse (s1 rate / s4
+    rate) is the gated form: the gate is lower-is-better, so losing the
+    multi-shard speedup makes the inverse grow past its envelope."""
+    metrics: list[dict] = []
+    rate: dict[int, float] = {}
+    for s in SHARD_COUNTS:
+        lat = merge_latencies(lat_dir, f"lat_s{s}_p*")
+        if not lat:
+            raise ScenarioError(f"shard sweep s={s}: no latency samples")
+
+        def q(p: float) -> float:
+            return float(lat[min(len(lat) - 1, int(p * (len(lat) - 1) + 0.5))])
+        rate[s] = sum(load_bench(path)["throughput"] for path in
+                      sorted(out_dir.glob(f"BENCH_live_shards_s{s}_p*.json")))
+        metrics += [
+            {"name": f"p50_acquire_s{s}", "value": q(0.50), "unit": "us"},
+            {"name": f"p99_acquire_s{s}", "value": q(0.99), "unit": "us"},
+            {"name": f"locks_per_sec_s{s}", "value": rate[s],
+             "unit": "rounds/s"},
+        ]
+    return metrics + [
+        {"name": "scaling_x2", "value": rate[2] / rate[1], "unit": "x"},
+        {"name": "scaling_x4", "value": rate[4] / rate[1], "unit": "x"},
+        {"name": "scaling_x4_inverse", "value": rate[1] / rate[4],
+         "unit": "x"},
+    ]
+
+
+def check_hybrid(runs: dict[str, dict[str, float]]) -> None:
+    """The bulk sweep measured what it claims: the tcp arm used the fast
+    path (a silent negotiation failure would fall back to UDP and "measure"
+    a crossover of pure noise), the udp arm did not, and the hybrid arm
+    routed by size (per the measuring client's pulls: none over TCP below
+    the 64 KiB crossover, every one over TCP well above it)."""
+    if runs["tcp"].get("bulk_fast_served", 0) <= 0:
+        raise ScenarioError("hybrid sweep: tcp run never hit the fast "
+                            "bulk path")
+    if runs["udp"].get("bulk_fast_served", 0) != 0:
+        raise ScenarioError("hybrid sweep: udp run unexpectedly used a fast "
+                            "bulk backend")
+    hybrid = runs["hybrid"]
+    for size in (1024, 8192):
+        if hybrid[f"tcp_pulls_{size}"] != 0:
+            raise ScenarioError(
+                f"hybrid sweep: {size} B bundles rode TCP "
+                f"({hybrid[f'tcp_pulls_{size}']:.0f} pulls)")
+    for size in (262144, 1048576):
+        pulls, tcp = hybrid[f"pulls_{size}"], hybrid[f"tcp_pulls_{size}"]
+        if pulls <= 0 or tcp != pulls:
+            raise ScenarioError(f"hybrid sweep: {size} B bundles: {tcp:.0f} "
+                                f"of {pulls:.0f} pulls rode TCP")
+
+
+def hybrid_metrics(runs: dict[str, dict[str, float]]) -> list[dict]:
+    """BENCH_live_hybrid metrics: udp/tcp p50+p99 per size, the crossover
+    and the 1 MiB tcp/udp ratios. The crossover is the smallest size from
+    which TCP wins p99 by >10% at that size AND every larger one
+    (hysteresis, so a single noisy bucket cannot fake it); with none, the
+    sentinel 2x the largest size trips the lower-is-better gate. It is
+    defined on p99 because the retransmit storm TCP removes lives in the
+    tail; 1 MiB p50s are scheduler noise on busy runners."""
+    metrics = [{"name": f"{be}_{q}_{size}",
+                "value": runs[be][f"{q}_acquire_{size}"], "unit": "us"}
+               for size in HYBRID_SIZES for be in ("udp", "tcp")
+               for q in ("p50", "p99")]
+    crossover = 2 * HYBRID_SIZES[-1]
+    for i, size in enumerate(HYBRID_SIZES):
+        if all(runs["tcp"][f"p99_acquire_{s}"]
+               < 0.9 * runs["udp"][f"p99_acquire_{s}"]
+               for s in HYBRID_SIZES[i:]):
+            crossover = size
+            break
+    metrics.append({"name": "crossover_bytes", "value": float(crossover),
+                    "unit": "bytes"})
+    for q in ("p50", "p99"):
+        metrics.append({"name": f"tcp_over_udp_{q}_1048576",
+                        "value": runs["tcp"][f"{q}_acquire_1048576"]
+                        / runs["udp"][f"{q}_acquire_1048576"], "unit": "x"})
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -439,80 +650,106 @@ def wait_ready(ready_file: Path, deadline_s: float) -> int:
     raise ScenarioError(f"server never became ready ({ready_file})")
 
 
-def run_scenario(name: str, profile: str, bin_path: str,
-                 out_dir: Path) -> tuple[bool, list[str]]:
-    """Runs one scenario end to end. Returns (passed, failure messages);
-    always leaves BENCH_scenario_<name>.json + raw telemetry in out_dir."""
-    scale = env_time_scale()
-    plan = plan_scenario(name, profile, time_scale=scale)
-    scenario_dir = out_dir / name
-    if scenario_dir.exists():
-        shutil.rmtree(scenario_dir)
-    (scenario_dir / "counters").mkdir(parents=True)
-
+def run_cluster(cluster: Cluster, scale: float) -> tuple[list[str], float]:
+    """Starts the server, then each client at its offset, SIGKILLing those
+    planned to die. The first unexpected exit, the server's included, kills
+    the rest of the group: a replica peer would otherwise wait forever on
+    its dead partner. The server must exit cleanly on SIGTERM. Returns
+    (failures, wall us)."""
+    label, argv = cluster.label, cluster.server
     failures: list[str] = []
-    procs: list[tuple[ClientSpec, subprocess.Popen]] = []
-    server = subprocess.Popen(
-        build_server_argv(bin_path, plan.server, scenario_dir))
+    started: list[subprocess.Popen] = []
+    server = subprocess.Popen(argv)
     t0 = time.monotonic()
     try:
-        port = wait_ready(scenario_dir / "ready", deadline_s=20 * scale)
-
-        pending = sorted(plan.clients, key=lambda s: s.start_after_us)
-        running: list[tuple[ClientSpec, subprocess.Popen, float]] = []
-        kills: list[tuple[ClientSpec, subprocess.Popen, float]] = []
+        ready = Path(argv[argv.index("--ready-file") + 1])
+        port = str(wait_ready(ready, deadline_s=20 * scale))
+        pending = sorted(cluster.clients, key=lambda c: c.start_after_us)
+        running: list[tuple[Proc, subprocess.Popen, float | None]] = []
         while pending or running:
             now = time.monotonic()
             while pending and (now - t0) * 1e6 >= pending[0].start_after_us:
-                spec = pending.pop(0)
+                client = pending.pop(0)
                 proc = subprocess.Popen(
-                    build_client_argv(bin_path, spec, port, scenario_dir))
-                procs.append((spec, proc))
-                running.append((spec, proc, now))
-                if spec.expect_kill:
-                    kills.append((spec, proc,
-                                  now + spec.kill_after_us / 1e6))
-            for spec, proc, due in list(kills):
-                if time.monotonic() >= due and proc.poll() is None:
+                    [arg.replace(PORT, port) for arg in client.argv])
+                started.append(proc)
+                kill_at = (None if client.kill_after_us is None
+                           else now + client.kill_after_us / 1e6)
+                running.append((client, proc, kill_at))
+            still = []
+            for client, proc, kill_at in running:
+                if kill_at is not None and time.monotonic() >= kill_at:
                     proc.kill()
-                    kills.remove((spec, proc, due))
-            still: list[tuple[ClientSpec, subprocess.Popen, float]] = []
-            for spec, proc, started in running:
                 rc = proc.poll()
                 if rc is None:
-                    still.append((spec, proc, started))
-                    continue
-                if spec.expect_kill:
+                    still.append((client, proc, kill_at))
+                elif kill_at is not None:
                     if rc == 0:
                         failures.append(
-                            f"{name}/{spec.group} site {spec.site}: "
-                            f"sacrificial process finished before its kill")
+                            f"{label}/{client.label}: sacrificial process "
+                            f"finished before its kill")
                 elif rc != 0:
-                    failures.append(f"{name}/{spec.group} site {spec.site}: "
-                                    f"exit status {rc}")
+                    failures.append(f"{label}/{client.label}: exit status "
+                                    f"{rc}: {' '.join(proc.args)}")
             running = still
-            time.sleep(0.05)
+            if server.poll() is not None:
+                failures.append(f"{label}: server exited mid-run")
+            if failures:
+                break
+            if pending or any(k is not None for _, _, k in running):
+                time.sleep(0.05)
+            elif running:
+                # Nothing left to schedule: block until a process exits
+                # rather than poll on the CPUs the cluster is measured on.
+                # WNOWAIT leaves the reaping to Popen.poll().
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
     except ScenarioError as err:
-        failures.append(f"{name}: {err}")
+        failures.append(f"{label}: {err}")
     finally:
-        for _, proc in procs:
+        for proc in started:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        server.send_signal(signal.SIGTERM)
+        if server.poll() is None:
+            server.send_signal(signal.SIGTERM)
         try:
             rc = server.wait(timeout=30 * scale)
             if rc != 0:
-                failures.append(f"{name}: server exit status {rc}")
+                failures.append(f"{label}: server exit status {rc}")
         except subprocess.TimeoutExpired:
             server.kill()
             server.wait()
-            failures.append(f"{name}: server did not stop on SIGTERM")
-    wall_us = (time.monotonic() - t0) * 1e6
+            failures.append(f"{label}: server did not stop on SIGTERM")
+    return failures, (time.monotonic() - t0) * 1e6
 
-    # Correctness: exact counter equality + telemetry assertions.
-    error = check_counters(scenario_dir / "counters",
-                           plan.expected_counter_total)
+
+def fresh_dir(path: Path) -> None:
+    if path.exists():
+        shutil.rmtree(path)
+    path.mkdir(parents=True)
+
+
+def run_lock_scenario(name: str, profile: str, bin_path: str,
+                      out_dir: Path) -> list[str]:
+    """One lock-workload scenario; leaves BENCH_scenario_<name>.json and the
+    raw telemetry in out_dir. Returns its failures."""
+    scale = env_time_scale()
+    plan = plan_scenario(name, profile, time_scale=scale)
+    scenario_dir = out_dir / name
+    fresh_dir(scenario_dir)
+    (scenario_dir / "counters").mkdir()
+    failures, wall_us = run_cluster(Cluster(
+        name, build_server_argv(bin_path, plan.server, scenario_dir),
+        [Proc(f"{spec.group} site {spec.site}",
+              build_client_argv(bin_path, spec, PORT, scenario_dir),
+              spec.start_after_us, spec.kill_after_us)
+         for spec in plan.clients]), scale)
+
+    # Correctness: exact counter equality + telemetry assertions. A group
+    # cut short by a failed process cannot balance its counters, so the
+    # counter check only reads a run that finished.
+    error = None if failures else check_counters(
+        scenario_dir / "counters", plan.expected_counter_total)
     if error:
         failures.append(f"{name}: {error}")
     server_metrics: dict[str, float] = {}
@@ -528,7 +765,7 @@ def run_scenario(name: str, profile: str, bin_path: str,
     latencies = merge_latencies(scenario_dir)
     if not latencies:
         failures.append(f"{name}: no latency samples")
-    bench = write_bench_json(out_dir, name,
+    bench = write_bench_json(out_dir, f"scenario_{name}",
                              bench_metrics(latencies, wall_us,
                                            server_metrics))
     print(f"run_scenarios: {name} [{profile}] "
@@ -537,7 +774,36 @@ def run_scenario(name: str, profile: str, bin_path: str,
           f"counter {counter_total(scenario_dir / 'counters')}/"
           f"{plan.expected_counter_total} -> {bench.name}"
           + ("" if not failures else f"  [{len(failures)} FAILURE(S)]"))
-    return not failures, failures
+    return failures
+
+
+def run_live(name: str, profile: str, bin_path: str,
+             out_dir: Path) -> list[str]:
+    """One live bench: its clusters in turn, then the merge and checks into
+    BENCH_live_<name>.json. Returns its failures."""
+    fresh_dir(out_dir / name)
+    for stale in out_dir.glob(f"BENCH_live_{name}*.json"):
+        stale.unlink()
+    failures: list[str] = []
+    for cluster in plan_live(name, profile, bin_path, out_dir):
+        failures += run_cluster(cluster, env_time_scale())[0]
+        if failures:
+            return failures
+    try:
+        if name == "shards":
+            write_bench_json(out_dir, "live_shards",
+                             merge_shards(out_dir, out_dir / name))
+        elif name == "hybrid":
+            runs = {be: load_bench(out_dir / f"BENCH_live_hybrid_{be}.json")
+                    for be in HYBRID_BACKENDS}
+            check_hybrid(runs)
+            write_bench_json(out_dir, "live_hybrid", hybrid_metrics(runs))
+        bench = load_bench(out_dir / f"BENCH_live_{name}.json")
+    except (ScenarioError, KeyError) as err:
+        return [f"{name}: {err!r}"]
+    print(f"run_scenarios: {name} [{profile}] -> BENCH_live_{name}.json "
+          f"({len(bench)} metrics)")
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +816,13 @@ def self_test() -> int:
     def expect(cond: bool, what: str) -> None:
         if not cond:
             failures.append(what)
+
+    def rejects(fn, *args) -> bool:
+        try:
+            fn(*args)
+        except ScenarioError:
+            return True
+        return False
 
     # Every catalogued scenario plans cleanly at every profile, with unique
     # sites and a positive counter expectation.
@@ -576,11 +849,7 @@ def self_test() -> int:
 
     # Negatives: unknown names must be rejected, not silently skipped.
     for bad in (("nosuch", "ci"), ("hotkey", "noprofile")):
-        try:
-            plan_scenario(*bad)
-            failures.append(f"bad plan accepted: {bad}")
-        except ScenarioError:
-            pass
+        expect(rejects(plan_scenario, *bad), f"bad plan accepted: {bad}")
 
     # Netem schedule: partition must be asymmetric — at least one group
     # behind loss flags, at least one clean.
@@ -669,6 +938,135 @@ def self_test() -> int:
         expect(percentile(merged, 0.5) == 20.0, "bad p50")
         expect(percentile(merged, 1.0) == 40.0, "bad p100")
 
+    # Orchestration: a failed client stops its cluster at once, killing a
+    # peer that would otherwise run on; the server stops on SIGTERM.
+    with tempfile.TemporaryDirectory() as tmp:
+        def py(code: str) -> list[str]:
+            return [sys.executable, "-c", code]
+        t0 = time.monotonic()
+        failures_seen, _ = run_cluster(Cluster("t", py(
+            "import signal, sys, time\n"
+            "signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))\n"
+            "open(sys.argv[2], 'w').write('1')\ntime.sleep(60)")
+            + ["--ready-file", f"{tmp}/ready"], [
+                Proc("dies", py("raise SystemExit(5)")),
+                Proc("peer", py("import time; time.sleep(60)"))]), 1.0)
+        expect(len(failures_seen) == 1 and "dies: exit status 5" in
+               failures_seen[0] and time.monotonic() - t0 < 20,
+               f"failed client did not stop its cluster: {failures_seen}")
+
+    # Live benches at `ci`: the command lines bench/baselines/ was recorded
+    # with, one string per process in launch order (server first).
+    wan = "--loss-pct 2 --delay-us 20000 --bw-kbps 6000"
+    srv = "BIN --server --port 0"
+    addr = "--server-addr 127.0.0.1:{port}"
+    ping = f"{addr} --rounds %d --replica-bytes %s --replica-barrier 2"
+    sizes = "1024,8192,65536,262144,1048576"
+    golden = {
+        "wan": [
+            f"{srv} --ready-file OUT/wan/ready_wan --quiet {wan}",
+            f"BIN --client --transfer --site 2 {addr} --rounds 100 --bytes "
+            f"4096 --concurrency 4 --bench-json-dir OUT --bench-name live_wan "
+            f"--quiet {wan}"],
+        "transfer": [
+            f"{srv} --ready-file OUT/transfer/ready_transfer --stats-file "
+            "OUT/transfer_server_stats.json --quiet --delay-us 20000 "
+            "--bulk-backend udp"] + [
+            f"BIN --client --site {site} " + ping % (40, "1024,4096,262144")
+            + f"{extra} --quiet --delay-us 20000 --bulk-backend udp"
+            for site, extra in ((2, " --bench-json-dir OUT"), (3, ""))],
+        "shards": [line for s in (1, 2, 4) for line in [
+            f"{srv} --shards {s} --ready-file OUT/shards/ready_s{s} "
+            f"--stats-file OUT/shard_server_stats_s{s}.json --quiet"] + [
+            f"BIN --client --site {1 + p} {addr} --clients 32 "
+            f"--distinct-locks --lock {p * 1000} --rounds 40 "
+            f"--latency-dump-file OUT/shards/lat_s{s}_p{p} --bench-json-dir "
+            f"OUT --bench-name live_shards_s{s}_p{p} --quiet"
+            for p in (1, 2, 3, 4)]],
+        "hybrid": [line for be in ("udp", "tcp", "hybrid") for line in (
+            f"{srv} --ready-file OUT/hybrid/ready_{be} --bulk-backend {be} "
+            "--quiet",
+            "BIN --client --site 2 " + ping % (30, sizes) + f" --bulk-backend"
+            f" {be} --bench-json-dir OUT --bench-name live_hybrid_{be} "
+            "--quiet",
+            "BIN --client --site 3 " + ping % (30, sizes)
+            + f" --bulk-backend {be} --quiet")],
+    }
+    expect(set(golden) == set(LIVE_SCENARIOS), "live golden set incomplete")
+    for name, lines in golden.items():
+        plans = {profile: plan_live(name, profile, "BIN", Path("OUT"))
+                 for profile in ("ci", "smoke")}
+        planned = [" ".join(argv) for cluster in plans["ci"] for argv in
+                   [cluster.server, *(c.argv for c in cluster.clients)]]
+        expect(planned == lines, f"{name}: ci argv drifted from its golden:"
+               f"\n  planned {planned}\n  golden  {lines}")
+        expect(len(plans["smoke"]) == len(plans["ci"]),
+               f"{name}: smoke drops a cluster run")
+
+    # Shard merge: percentiles over the union of every process's dump
+    # (nearest rank), locks/s summed across processes, scaling ratios.
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for s in SHARD_COUNTS:
+            for p in (1, 2):
+                (d / f"lat_s{s}_p{p}").write_text("".join(
+                    f"{v}\n" for v in range(50 * p - 49, 50 * p + 1)))
+                write_bench_json(d, f"live_shards_s{s}_p{p}", [
+                    {"name": "throughput", "value": 100 * s * p, "unit": "x"}])
+        got = {m["name"]: m["value"] for m in merge_shards(d, d)}
+        expect((got["p50_acquire_s1"], got["p99_acquire_s4"]) == (51, 99),
+               f"shard percentiles not over the union: {got}")
+        expect(got["locks_per_sec_s2"] == 600.0, "shard rates not summed")
+        expect((got["scaling_x2"], got["scaling_x4"],
+                got["scaling_x4_inverse"]) == (2.0, 4.0, 0.25),
+               f"shard scaling ratios wrong: {got}")
+        (d / "lat_s4_p1").write_text("")
+        (d / "lat_s4_p2").unlink()
+        expect(rejects(merge_shards, d, d), "shard run without samples passed")
+
+        # An empty, truncated or metric-less BENCH JSON is rejected.
+        for i, text in enumerate(("", '{"name": "live_wan", "metr',
+                                  '{"name": "live_wan", "metrics": []}')):
+            (d / f"bad_{i}").write_text(text)
+            expect(rejects(load_bench, d / f"bad_{i}"),
+                   f"malformed bench JSON accepted: {text!r}")
+
+    # Hybrid sweep: forged runs with the tcp arm's p99 per size given (udp
+    # at 1000 everywhere), healthy routing and fast-path use.
+    def hybrid_runs(*tcp_p99: float) -> dict:
+        runs: dict = {be: {} for be in HYBRID_BACKENDS}
+        for size, tcp in zip(HYBRID_SIZES, tcp_p99):
+            for be, p99 in (("udp", 1000), ("tcp", tcp), ("hybrid", 500)):
+                runs[be].update({f"p50_acquire_{size}": p99 / 2,
+                                 f"p99_acquire_{size}": p99})
+            runs["hybrid"][f"pulls_{size}"] = 30
+            runs["hybrid"][f"tcp_pulls_{size}"] = 30 if size >= 65536 else 0
+        runs["tcp"]["bulk_fast_served"] = 60
+        runs["udp"]["bulk_fast_served"] = 0
+        return runs
+
+    def crossover(runs: dict) -> float:
+        return next(m["value"] for m in hybrid_metrics(runs)
+                    if m["name"] == "crossover_bytes")
+
+    healthy = hybrid_runs(1100, 1050, 800, 600, 500)
+    expect(not rejects(check_hybrid, healthy), "healthy hybrid run rejected")
+    expect(crossover(healthy) == 65536, f"crossover {crossover(healthy)}")
+    noisy = hybrid_runs(1100, 500, 950, 600, 500)
+    expect(crossover(noisy) == 262144,
+           f"one noisy bucket faked a crossover at {crossover(noisy)}")
+    none = hybrid_runs(*[1000] * len(HYBRID_SIZES))
+    expect(crossover(none) == 2 * 1048576,
+           f"no crossover did not give the sentinel: {crossover(none)}")
+    for be, key, value, what in (
+            ("hybrid", "tcp_pulls_1024", 1, "1 KiB bundle over TCP"),
+            ("hybrid", "tcp_pulls_1048576", 29, "1 MiB bundle over UDP"),
+            ("tcp", "bulk_fast_served", 0, "tcp arm off the fast path"),
+            ("udp", "bulk_fast_served", 3, "udp arm on a fast path")):
+        forged = hybrid_runs(*[500] * len(HYBRID_SIZES))
+        forged[be][key] = value
+        expect(rejects(check_hybrid, forged), f"hybrid check passed a {what}")
+
     if failures:
         for failure in failures:
             print(f"run_scenarios self-test FAILED: {failure}",
@@ -685,7 +1083,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--profile", default="ci",
                         choices=sorted(PROFILES))
-    parser.add_argument("--scenarios", default=",".join(SCENARIOS),
+    parser.add_argument("--scenarios",
+                        default=",".join([*SCENARIOS, *LIVE_SCENARIOS]),
                         help="comma-separated subset (default: all)")
     parser.add_argument("--list", action="store_true",
                         help="print the scenario catalog and exit")
@@ -698,18 +1097,26 @@ def main(argv: list[str]) -> int:
     if args.list:
         for name, spec in SCENARIOS.items():
             print(f"{name:10s} {spec['description']}")
+        for name, description in LIVE_SCENARIOS.items():
+            print(f"{name:10s} {description}")
         return 0
     if not args.bin or not args.out:
         parser.error("--bin and --out are required")
 
     names = [n for n in args.scenarios.split(",") if n]
+    unknown = [n for n in names if n not in SCENARIOS
+               and n not in LIVE_SCENARIOS]
+    if unknown:
+        parser.error(f"unknown scenario(s): {', '.join(unknown)}")
     args.out.mkdir(parents=True, exist_ok=True)
+    # Every mocha_live process leaves its final stats snapshot and flight
+    # dump next to the BENCH JSONs, so a failure ships with its telemetry.
+    os.environ["MOCHA_STATS_DIR"] = str(args.out.resolve())
     all_failures: list[str] = []
     try:
         for name in names:
-            ok, failures = run_scenario(name, args.profile, args.bin,
-                                        args.out)
-            all_failures.extend(failures)
+            run = run_live if name in LIVE_SCENARIOS else run_lock_scenario
+            all_failures += run(name, args.profile, args.bin, args.out)
     except ScenarioError as err:
         print(f"run_scenarios: error: {err}", file=sys.stderr)
         return 2
