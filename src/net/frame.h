@@ -29,17 +29,11 @@
 #include <span>
 #include <vector>
 
+#include "net/frame_type.h"
 #include "net/types.h"
 #include "util/buffer.h"
 
 namespace mocha::net {
-
-enum class FrameType : std::uint8_t {
-  kData = 0,
-  kAck = 1,
-  kNack = 2,
-  kDataAck = 3,  // DATA with piggybacked transport acks
-};
 
 // DATA frame overhead: type(1) + seq(8) + frag_idx(4) + frag_count(4) +
 // port(2). A transport with MTU M carries at most M - kFragHeaderBytes

@@ -116,10 +116,15 @@ def compare_file(
     return rows
 
 
+def fmt_value(value: float) -> str:
+    """A metric value with its precision: 1381 stays 1381, 0.93 stays 0.93."""
+    return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
 def row_line(row: dict, max_regress_pct: float) -> str:
     return (
-        f"{row['file']}: {row['metric']} {row['base']:.0f} -> "
-        f"{row['cand']:.0f} ({row['delta_pct']:+.1f}%, "
+        f"{row['file']}: {row['metric']} {fmt_value(row['base'])} -> "
+        f"{fmt_value(row['cand'])} ({row['delta_pct']:+.1f}%, "
         f"budget +{max_regress_pct:.0f}%)"
     )
 
@@ -134,8 +139,9 @@ def markdown_table(rows: list[dict], max_regress_pct: float) -> str:
     for row in rows:
         status = "pass" if row["ok"] else "**FAIL**"
         lines.append(
-            f"| {row['file']} | {row['metric']} | {row['base']:.0f} "
-            f"| {row['cand']:.0f} | {row['delta_pct']:+.1f}% | {status} |"
+            f"| {row['file']} | {row['metric']} | {fmt_value(row['base'])} "
+            f"| {fmt_value(row['cand'])} | {row['delta_pct']:+.1f}% "
+            f"| {status} |"
         )
     return "\n".join(lines) + "\n"
 
@@ -211,6 +217,16 @@ def self_test() -> int:
     table = markdown_table(rows, 15.0)
     if "**FAIL**" not in table or "p99_latency" not in table:
         failures.append(f"markdown table missing FAIL row:\n{table}")
+
+    # A sub-unit ratio keeps its decimals: 0.6 -> 0.93 must not print as
+    # "1 -> 1", in the log line or in the step summary.
+    rows = compare_file({"scaling_x4_inverse": 0.6},
+                        {"scaling_x4_inverse": 0.93}, "BENCH_live_x.json",
+                        ["scaling_x4_inverse"], 15.0)
+    line = row_line(rows[0], 15.0)
+    table = markdown_table(rows, 15.0)
+    if "0.6 -> 0.93 (+55.0%" not in line or "| 0.6 | 0.93 |" not in table:
+        failures.append(f"ratio printed without its decimals: {line}\n{table}")
 
     # A metric that vanished from the candidate is a hard error, not a pass.
     try:
