@@ -223,6 +223,7 @@ std::uint64_t Endpoint::transmit(net::NodeId dst, net::Port port,
                                  SendDone done) {
   std::uint64_t seq = 0;
   bool one_datagram = false;
+  bool timer_covers = false;  // the armed timer is due by the resend
   {
     util::MutexLock lock(mu_);
     if (!peers_.contains(dst)) {
@@ -236,16 +237,24 @@ std::uint64_t Endpoint::transmit(net::NodeId dst, net::Port port,
     // and sendmmsg calls can eat a 1 ms RTO. One datagram leaves with the
     // flush right below.
     one_datagram = tx_queue_.size() - queued == 1;
-    if (one_datagram) core_.sent(now, dst, seq);
+    if (one_datagram) {
+      core_.sent(now, dst, seq);
+      timer_covers = timer_deadline_us_ <= now + core_.rto_us(dst);
+    }
     if (wait) waiters_.try_emplace({dst, seq});
     if (done) tracked_.emplace(std::pair{dst, seq}, std::move(done));
   }
   flush_tx();
   if (!one_datagram) {
     util::MutexLock lock(mu_);
-    core_.sent(clock_->now_us(), dst, seq);
+    const std::int64_t now = clock_->now_us();
+    core_.sent(now, dst, seq);
+    timer_covers = timer_deadline_us_ <= now + core_.rto_us(dst);
   }
-  // The transport timer must cover the new resend deadline.
+  // The transport timer must cover the new resend deadline. A timer armed
+  // no later already does: its on_timer ends in arm_timer, which reads the
+  // core under mu_, so it sees this message whichever takes mu_ first.
+  if (timer_covers) return seq;
   if (std::this_thread::get_id() == loop_thread_.get_id()) {
     arm_timer();  // MOCHA_REACTOR_SAFE: on the loop thread, checked above
   } else {
@@ -319,8 +328,10 @@ void Endpoint::set_port_handler(net::Port port, PortHandler handler) {
 }
 
 void Endpoint::finish_event() {
-  // Acks first: a handler applying a 256 KiB bundle must not hold the
-  // sender's ack back past its RTO. Handlers' own sends flush themselves.
+  // Queued frames first: a handler applying a 256 KiB bundle must not hold
+  // back resends, NACKs or flushed acks. Held acks stay for the handlers'
+  // replies to carry, bounded by the ack flush timer armed below. Handlers'
+  // own sends flush themselves.
   flush_tx();
   std::vector<Message> batch;
   std::vector<std::pair<SendDone, bool>> outcomes;

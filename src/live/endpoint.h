@@ -58,7 +58,7 @@ struct EndpointOptions {
   int max_retries = 10;          // resends before a message fails
   bool adaptive_rto = true;      // per-peer Jacobson/Karels RTO
   std::int64_t nack_delay_us = 2'000;  // quiet time before a NACK; 0 = off
-  std::int64_t ack_delay_us = 500;     // ack hold for piggybacking; 0 = off
+  std::int64_t ack_delay_us = 500;     // ack hold for a reply; 0 = off
 
   // Kernel socket buffer request (SO_RCVBUF + SO_SNDBUF). Replica bundles
   // arrive as one fragment burst — 256 KiB is ~190 back-to-back datagrams,
@@ -294,13 +294,15 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
   Reactor reactor_;
   std::map<net::Port, std::shared_ptr<PortHandler>> port_handlers_;
   Reactor::TimerId timer_ = Reactor::kInvalidTimer;
-  std::int64_t timer_deadline_us_ = kNoDeadline;  // timer_'s deadline
   std::vector<std::uint8_t> rx_buf_;
   std::thread loop_thread_;
 
   mutable util::Mutex mu_;
   util::CondVar ack_cv_;  // send_sync and flush waiters
   net::MochaNetCore core_ GUARDED_BY(mu_);
+  // timer_'s deadline, written by arm_timer; under mu_ so that a send on
+  // another thread can tell whether the armed timer covers it.
+  std::int64_t timer_deadline_us_ GUARDED_BY(mu_) = kNoDeadline;
   std::vector<Message> dispatch_ GUARDED_BY(mu_);  // for port handlers
   std::map<net::NodeId, PeerState> peers_ GUARDED_BY(mu_);
   // send_sync() callers by (dst, seq): nullopt while the message is

@@ -201,15 +201,14 @@ void MochaNetCore::on_data(std::int64_t now_us, NodeId src,
 
 void MochaNetCore::ack(std::int64_t now_us, NodeId src, std::uint64_t seq) {
   sink_.work(Work::kAck, 0);
-  Peer& p = peer(src);
-  const bool path_is_fast = p.rtt.has_sample() &&
-                            p.rtt.srtt_us() <= 2 * opts_.ack_delay_us;
-  if (opts_.ack_delay_us <= 0 || path_is_fast) {
+  if (opts_.ack_delay_us <= 0) {
     util::Buffer frame;
     encode_ack_frame(frame, seq);
     sink_.send_frame(src, std::move(frame));
     return;
   }
+  // Held on every path: the reply to this message usually carries it.
+  Peer& p = peer(src);
   p.pending_acks.push_back(seq);
   if (p.ack_deadline_us == kNoDeadline) {
     p.ack_deadline_us = now_us + opts_.ack_delay_us;

@@ -127,8 +127,8 @@ struct MochaNetOptions {
   // Quiet period before a partial message NACKs its missing fragments;
   // 0 disables NACKs (whole-message RTO resends only).
   std::int64_t nack_delay_us = 2'000;
-  // Longest an ack waits to ride outgoing data, while the peer's SRTT is
-  // unknown or above 2 x this delay; 0 acks at once.
+  // Longest an ack waits to ride outgoing data (a reply usually carries it)
+  // before it leaves as a standalone ACK frame; 0 acks at once.
   std::int64_t ack_delay_us = 500;
 };
 

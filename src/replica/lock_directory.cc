@@ -139,7 +139,7 @@ void LockDirectory::activate(LockId id, LockState& lock, LockHold hold) {
 void LockDirectory::start_transfer(const LockHold& hold, net::NodeId owner,
                                    Version version) {
   const std::uint64_t id = ++next_transfer_id_;
-  transfers_[id].lock_version = version;
+  transfers_[id].nonce = hold.nonce;
   TransferDirective& directive = transfers_[id].directive;
   directive = {id, owner, {hold.lock_id, version, hold.site, hold.data_port}};
   if (auto it = contacts_.find(hold.site); it != contacts_.end()) {
@@ -249,8 +249,12 @@ void LockDirectory::transfer_delivered(std::int64_t now_us,
   transfers_.erase(it);
   const TransferDirective& directive = transfer.directive;
   LockRecord* record = find_record(directive.msg.lock_id);
+  // Only while the requester's hold stands: once it released (possibly at
+  // the very version the lock had at the grant, after a weakened forward),
+  // the record is newer than anything this ack could say.
   if (record == nullptr || !transfer.redirecting ||
-      record->version != transfer.lock_version ||
+      find_active(directive.msg.lock_id, directive.msg.dst_site,
+                  transfer.nonce) == nullptr ||
       (directive.daemon == record->last_owner &&
        directive.msg.version == record->version)) {
     return;

@@ -184,7 +184,7 @@ class LockDirectory {
   };
   struct Transfer {
     TransferDirective directive;  // the one in flight, or the next
-    Version lock_version = 0;     // the lock's version at the grant
+    std::uint64_t nonce = 0;      // the requester's hold
     bool redirecting = false;     // past the last owner's directive
     bool polling = false;
     std::set<net::NodeId> awaiting;  // polled daemons yet to answer

@@ -350,6 +350,71 @@ TEST(LiveEndpoint, AckPiggybacksOnReverseData) {
   EXPECT_EQ(reverse->payload, make_payload(32));
 }
 
+// The lock protocol's shape: request, reply from a port handler, release.
+// Every ack rides the next message the other way (the reply acks the
+// request, the release acks the reply, the next reply acks the release), so
+// a round costs 3 datagrams where standalone acks would make it 6.
+TEST(LiveEndpoint, RequestReplyReleaseRoundsCarryTheirAcks) {
+  Endpoint client(1, 0);
+  Endpoint server(2, 0);
+  client.add_peer(2, "127.0.0.1", server.udp_port());
+  server.set_port_handler(3, [&](Endpoint::Message msg) {
+    if (msg.payload.size() == 8) server.send(msg.src, 4, make_payload(16));
+  });
+
+  constexpr int kRounds = 100;
+  for (int i = 0; i < kRounds; ++i) {
+    client.send(2, 3, make_payload(8));  // the request
+    ASSERT_TRUE(client.recv_for(4, 2'000'000).has_value()) << "round " << i;
+    client.send(2, 3, make_payload(4));  // the release
+  }
+  ASSERT_TRUE(client.flush(2'000'000));
+  ASSERT_TRUE(server.flush(2'000'000));
+  // Loopback loses nothing: what one endpoint received the other sent.
+  const std::uint64_t datagrams =
+      client.rx_batched_datagrams() + server.rx_batched_datagrams();
+  EXPECT_LE(datagrams, 4u * kRounds);
+  EXPECT_GE(client.acks_piggybacked() + server.acks_piggybacked(),
+            2u * kRounds);
+}
+
+// An application-thread send whose datagram is lost must still be resent,
+// whether or not the send itself woke the loop to arm the transport timer.
+TEST(LiveEndpoint, LostSendIsResentWithOrWithoutAnArmedTimer) {
+  for (const bool timer_armed : {false, true}) {
+    SCOPED_TRACE(timer_armed ? "flush timer armed earlier" : "no timer armed");
+    EndpointOptions sender_opts;
+    // A held ack's flush timer (100 ms) is due before the resend (500 ms):
+    // the send finds the timer covering it and does not wake the loop.
+    sender_opts.ack_delay_us = 100'000;
+    sender_opts.rto_us = 500'000;
+    EndpointOptions receiver_opts;
+    std::atomic<int> seen{0};
+    receiver_opts.recv_drop_hook = [&](std::span<const std::uint8_t>) {
+      return ++seen == 1;  // the send's only datagram
+    };
+    Endpoint a(1, 0, sender_opts);
+    Endpoint b(2, 0, receiver_opts);
+    Endpoint c(3, 0);
+    a.add_peer(2, "127.0.0.1", b.udp_port());
+    c.add_peer(1, "127.0.0.1", a.udp_port());
+    if (timer_armed) {
+      // a holds c's ack, so a's transport timer is armed at the flush.
+      c.send(1, 5, make_payload(8));
+      ASSERT_TRUE(a.recv_for(5, 2'000'000).has_value());
+    }
+    ASSERT_TRUE(a.send_sync(2, 6, make_payload(32), 5'000'000).is_ok());
+    auto msg = b.recv_for(6, 2'000'000);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->payload, make_payload(32));
+    EXPECT_EQ(a.retransmissions(), 1u);
+    EXPECT_EQ(b.netem_dropped(), 1u);
+    if (timer_armed) {
+      EXPECT_TRUE(c.flush(2'000'000));  // the held ack left too
+    }
+  }
+}
+
 TEST(LiveEndpoint, EmptyPayloadTravels) {
   Endpoint a(1, 0);
   Endpoint b(2, 0);

@@ -473,6 +473,28 @@ TEST_F(LockDirectoryTest, LateAckAfterTheReleaseChangesNothing) {
   EXPECT_EQ(dir_.transfers_pending(), 0u);
 }
 
+TEST_F(LockDirectoryTest, LateRedirectAckAfterReleaseAtTheSameVersionChangesNothing) {
+  // After a weakened forward (v4 for a lock at v5) the requester writes and
+  // releases v5: the same version the lock had at the grant. The redirect's
+  // late ack must not roll the record back to the survivor's v4.
+  const std::uint64_t id = owner_dies_during_transfer();
+  report(40, 3, 4);
+  report(41, 2, 0);
+  dir_.poll_failed(42, id, 4);
+  ASSERT_EQ(sink_.transfers.size(), 2u);
+  EXPECT_EQ(sink_.transfers[1].owner, 3u);
+  EXPECT_EQ(sink_.transfers[1].version, 4u);
+  EXPECT_EQ(sink_.steps.back(), TransferStep::kWeakened);
+
+  release(60, 2, 5, {2});
+  dir_.transfer_delivered(70, id);
+  const LockRecord& record = *dir_.record(kLock);
+  EXPECT_EQ(record.version, 5u);
+  EXPECT_EQ(record.last_owner, 2u);
+  EXPECT_EQ(record.up_to_date, std::set<net::NodeId>{2});
+  EXPECT_EQ(dir_.transfers_pending(), 0u);
+}
+
 TEST_F(LockDirectoryTest, WindowClosingWithoutReportsLosesTheTransfer) {
   const std::uint64_t id = owner_dies_during_transfer();
   dir_.poll_window_closed(1'000'000, id);

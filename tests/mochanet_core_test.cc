@@ -276,7 +276,7 @@ TEST(MochaNetCore, PiggybackTakesAcksThatFitTheMtu) {
   opts.ack_delay_us = 500;
   MochaNetCore core(opts, sink);
 
-  // No RTT sample yet: acks are held for a ride.
+  // Acks are held for a ride.
   core.on_frame(0, kPeer, data_frame(1, 0, 1, make_payload(8)));
   core.on_frame(0, kPeer, data_frame(2, 0, 1, make_payload(8)));
   EXPECT_EQ(sink.count(FrameType::kAck), 0u);
@@ -301,6 +301,38 @@ TEST(MochaNetCore, PiggybackTakesAcksThatFitTheMtu) {
   core.on_timer(700);
   EXPECT_EQ(sink.count(FrameType::kAck), 1u);
   EXPECT_EQ(core.counters().acks_piggybacked, 2u);
+}
+
+TEST(MochaNetCore, MicrosecondRttPeerStillHoldsItsAckForTheReply) {
+  FakeSink sink;
+  MochaNetOptions opts;
+  opts.ack_delay_us = 500;
+  MochaNetCore core(opts, sink);
+
+  // A LAN peer: a 40 us round trip, well under the 500 us hold.
+  const std::uint64_t request = core.send(0, kPeer, kPort, make_payload(16));
+  core.sent(0, kPeer, request);
+  core.on_frame(40, kPeer, ack_frame(request));
+  ASSERT_EQ(sink.acks, std::vector<std::uint64_t>{request});
+  EXPECT_EQ(core.srtt_us(kPeer), 40);
+
+  // The peer's message is not acked at once: the ack waits for the reply.
+  core.on_frame(100, kPeer, data_frame(1, 0, 1, make_payload(8)));
+  ASSERT_EQ(sink.delivered.size(), 1u);
+  EXPECT_EQ(sink.count(FrameType::kAck), 0u);
+  EXPECT_EQ(core.next_deadline_us(), 600);
+
+  core.send(150, kPeer, kPort, make_payload(16));
+  ASSERT_EQ(sink.frames.size(), 2u);
+  util::WireReader reader(sink.frames[1]);
+  ASSERT_EQ(decode_frame_type(reader), FrameType::kDataAck);
+  EXPECT_EQ(decode_data_ack_frame(reader).acks,
+            std::vector<std::uint64_t>{1});
+  EXPECT_EQ(core.counters().acks_piggybacked, 1u);
+
+  // Nothing is left for the flush timer to send standalone.
+  core.on_timer(600);
+  EXPECT_EQ(sink.count(FrameType::kAck), 0u);
 }
 
 TEST(MochaNetCore, GapSkipFiresAfterSenderScheduleAndDropsHole) {

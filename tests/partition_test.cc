@@ -153,7 +153,9 @@ TEST(Partition, MinoritySideRecoversLivenessAfterHeal) {
     sched.sleep_for(sim::seconds(2));  // let stale retransmissions settle
     util::Status after = lk.lock();
     acquired_after_heal = after.is_ok();
-    if (acquired_after_heal) ASSERT_TRUE(lk.unlock().is_ok());
+    if (acquired_after_heal) {
+      ASSERT_TRUE(lk.unlock().is_ok());
+    }
   });
   sched.run_until(sim::seconds(60));
   EXPECT_TRUE(acquired_after_heal);

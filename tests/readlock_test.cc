@@ -311,7 +311,9 @@ TEST(ReadLock, ReaderCrashDoesNotBlockWriter) {
     lk.associate(r);
     util::Status s = lk.lock();
     writer_ok = s.is_ok();
-    if (writer_ok) ASSERT_TRUE(lk.unlock().is_ok());
+    if (writer_ok) {
+      ASSERT_TRUE(lk.unlock().is_ok());
+    }
   });
   fx.sched.run_until(sim::seconds(60));
   EXPECT_TRUE(writer_ok);

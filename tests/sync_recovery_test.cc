@@ -134,7 +134,9 @@ TEST(SyncRecovery, PendingAcquireRetriesAtSurrogate) {
     lk.associate(r);
     util::Status s = lk.lock();
     acquired = s.is_ok();
-    if (acquired) ASSERT_TRUE(lk.unlock().is_ok());
+    if (acquired) {
+      ASSERT_TRUE(lk.unlock().is_ok());
+    }
   });
   fx.sched.run_until(sim::seconds(30));
   EXPECT_TRUE(acquired);
