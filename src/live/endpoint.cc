@@ -13,6 +13,7 @@
 #include <future>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #include "util/log.h"
 
@@ -209,11 +210,14 @@ void Endpoint::send_tracked(net::NodeId dst, net::Port port,
 void Endpoint::deliver_local(net::NodeId src, net::Port port,
                              util::Buffer payload) {
   bool handled = false;
+  Wakeups wake;
   {
     util::MutexLock lock(mu_);
     deliver(src, port, std::move(payload));
     handled = port_queue(port).handled;
+    wake = take_wakeups();
   }
+  wake.notify();
   // A handled port's delivery waits in dispatch_ for the end of an event.
   if (handled) reactor_.post([this] { finish_event(); });
 }
@@ -349,10 +353,13 @@ void Endpoint::finish_event() {
       (*handler)(std::move(msg));
       continue;
     }
-    util::MutexLock lock(mu_);  // unregistered mid-batch: back to recv()
-    PortQueue& queue = port_queue(msg.port);
-    queue.messages.push_back(std::move(msg));
-    queue.cv.notify_one();
+    PortQueue* queue = nullptr;
+    {
+      util::MutexLock lock(mu_);  // unregistered mid-batch: back to recv()
+      queue = &port_queue(msg.port);
+      queue->messages.push_back(std::move(msg));
+    }
+    queue->cv.notify_one();
   }
   arm_timer();
 }
@@ -458,10 +465,13 @@ void Endpoint::on_timer() {
   timer_ = Reactor::kInvalidTimer;
   const std::int64_t now = clock_->now_us();
   release_netem(now);
+  Wakeups wake;
   {
     util::MutexLock lock(mu_);
     core_.on_timer(now);
+    wake = take_wakeups();
   }
+  wake.notify();
   finish_event();
 }
 
@@ -534,11 +544,16 @@ void Endpoint::process_datagram(const std::uint8_t* data, std::size_t len,
     return;
   }
   const net::NodeId src = reader.u32();  // live envelope
-  util::MutexLock lock(mu_);
-  // Learn (or refresh) the sender's address — this is how the server side
-  // discovers clients it never configured.
-  peer_state(src).addr = from;
-  core_.on_frame(clock_->now_us(), src, reader.raw(reader.remaining()));
+  Wakeups wake;
+  {
+    util::MutexLock lock(mu_);
+    // Learn (or refresh) the sender's address — this is how the server side
+    // discovers clients it never configured.
+    peer_state(src).addr = from;
+    core_.on_frame(clock_->now_us(), src, reader.raw(reader.remaining()));
+    wake = take_wakeups();
+  }
+  wake.notify();
 }
 
 // --- net::MochaNetSink ---
@@ -557,7 +572,7 @@ void Endpoint::deliver(net::NodeId src, net::Port port, util::Buffer payload) {
     return;
   }
   queue.messages.push_back(std::move(msg));
-  queue.cv.notify_one();
+  wakeups_.ports.push_back(&queue.cv);
 }
 
 void Endpoint::acked(net::NodeId dst, std::uint64_t seq,
@@ -567,14 +582,14 @@ void Endpoint::acked(net::NodeId dst, std::uint64_t seq,
   auto it = waiters_.find({dst, seq});
   if (it != waiters_.end()) it->second = true;
   finish_tracked(dst, seq, true);
-  ack_cv_.notify_all();
+  wakeups_.acks = &ack_cv_;
 }
 
 void Endpoint::failed(net::NodeId dst, std::uint64_t seq) {
   auto it = waiters_.find({dst, seq});
   if (it != waiters_.end()) it->second = false;
   finish_tracked(dst, seq, false);
-  ack_cv_.notify_all();
+  wakeups_.acks = &ack_cv_;
 }
 
 void Endpoint::finish_tracked(net::NodeId dst, std::uint64_t seq,
@@ -584,6 +599,15 @@ void Endpoint::finish_tracked(net::NodeId dst, std::uint64_t seq,
   if (it == tracked_.end()) return;
   tracked_done_.emplace_back(std::move(it->second), acked);
   tracked_.erase(it);
+}
+
+Endpoint::Wakeups Endpoint::take_wakeups() {
+  return std::exchange(wakeups_, Wakeups{});
+}
+
+void Endpoint::Wakeups::notify() const {
+  for (util::CondVar* cv : ports) cv->notify_one();
+  if (acks != nullptr) acks->notify_all();
 }
 
 void Endpoint::on_event(const Event& event) {

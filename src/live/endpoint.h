@@ -237,6 +237,17 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
     sockaddr_in from{};
   };
 
+  // Receivers a core event made runnable, recorded under mu_ by the sinks
+  // and notified once it is released, so a woken receiver does not block
+  // on mu_ again at once: one notify_one per queued message (a port's
+  // single consumer), one notify_all for any ack or failure. Port queues
+  // are never erased, so the pointers outlive the endpoint's events.
+  struct Wakeups {
+    std::vector<util::CondVar*> ports;
+    util::CondVar* acks = nullptr;
+    void notify() const;
+  };
+
   // --- net::MochaNetSink: the core's outputs, called with mu_ held ---
   void send_frame(net::NodeId dst, util::Buffer frame) override
       REQUIRES(mu_);
@@ -249,6 +260,8 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
   // Moves a tracked send's callback to tracked_done_ with its outcome.
   void finish_tracked(net::NodeId dst, std::uint64_t seq, bool acked)
       REQUIRES(mu_);
+  // Hands the recorded wakeups over for notify() after mu_ is released.
+  Wakeups take_wakeups() REQUIRES(mu_);
 
   // --- Loop thread (analyzer-enforced) ---
   void on_readable() MOCHA_REACTOR_ONLY EXCLUDES(mu_);  // socket handler
@@ -314,6 +327,7 @@ class MOCHA_REACTOR_SAFE Endpoint : private net::MochaNetSink {
   std::map<std::pair<net::NodeId, std::uint64_t>, SendDone> tracked_
       GUARDED_BY(mu_);
   std::vector<std::pair<SendDone, bool>> tracked_done_ GUARDED_BY(mu_);
+  Wakeups wakeups_ GUARDED_BY(mu_);
   std::map<net::Port, std::unique_ptr<PortQueue>> delivered_
       GUARDED_BY(mu_);
 

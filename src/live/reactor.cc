@@ -93,8 +93,8 @@ Reactor::TimerId Reactor::call_at(std::int64_t deadline_us, Callback cb) {
 }
 
 bool Reactor::cancel(TimerId id) {
-  // The wheel's slot entry stays behind as an orphan and is skipped when its
-  // slot comes around — O(log n) cancel, no wheel walk.
+  // The wheel's slot entry stays behind as an orphan, purged by wait_us()
+  // or skipped when its slot comes around — O(log n) cancel, no wheel walk.
   return timers_.erase(id) != 0;
 }
 
@@ -125,12 +125,17 @@ std::int64_t Reactor::wait_us() {
     if (!posted_.empty()) return 0;
   }
   if (timers_.empty()) return -1;  // until an fd, post() or stop()
-  // Sleep, to the microsecond, until the first non-empty slot's boundary:
-  // epoll_wait's milliseconds would hold a 500 us ack timer back to 1 ms.
+  // Sleep, to the microsecond, until the boundary of the first slot that
+  // holds a live timer: epoll_wait's milliseconds would hold a 500 us ack
+  // timer back to 1 ms. Cancelled entries in the slots passed over are
+  // purged here, or each would cost an empty loop pass.
   std::size_t ticks = 1;
-  while (ticks < wheel_.size() &&
-         wheel_[(cursor_ + ticks) % wheel_.size()].empty()) {
-    ++ticks;
+  for (; ticks < wheel_.size(); ++ticks) {
+    std::vector<SlotEntry>& slot = wheel_[(cursor_ + ticks) % wheel_.size()];
+    std::erase_if(slot, [this](const SlotEntry& entry) {
+      return !timers_.contains(entry.id);
+    });
+    if (!slot.empty()) break;
   }
   return std::max<std::int64_t>(
       wheel_time_us_ + static_cast<std::int64_t>(ticks) * opts_.tick_us -

@@ -13,7 +13,8 @@
 //     timer wheel (fixed tick, per-slot rounds counter), the classic
 //     O(1)-insert design for the "many pending, mostly cancelled" lease and
 //     retransmit populations. cancel() is O(log n) map erase; the orphaned
-//     wheel entry is skipped when its slot comes around.
+//     wheel entry is purged when the loop next computes its sleep (so it
+//     never wakes the loop) or skipped when its slot comes around.
 //   - deferred callbacks: post() enqueues a callback from ANY thread; the
 //     loop wakes via an eventfd and runs it on the loop thread. This is how
 //     other threads hand work to reactor-owned state without locks.

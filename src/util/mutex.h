@@ -1,11 +1,14 @@
 // Annotated mutex / scoped-lock / condition-variable wrappers.
 //
-// util::Mutex is std::mutex marked as a thread-safety *capability* so the
-// clang analysis (-Wthread-safety, see util/thread_annotations.h) can prove
-// that members declared GUARDED_BY(mu_) are only touched with mu_ held.
-// util::MutexLock is the RAII lock; util::CondVar waits directly on a
-// util::Mutex (std::condition_variable_any — the Mutex is BasicLockable),
-// so waiting code keeps its capability annotations intact.
+// util::Mutex is a glibc adaptive pthread mutex (PTHREAD_MUTEX_ADAPTIVE_NP:
+// a contended lock() spins briefly before it sleeps on the futex, which
+// suits the endpoint's short critical sections) marked as a thread-safety
+// *capability* so the clang analysis (-Wthread-safety, see
+// util/thread_annotations.h) can prove that members declared GUARDED_BY(mu_)
+// are only touched with mu_ held. util::MutexLock is the RAII lock;
+// util::CondVar is a pthread condition variable on CLOCK_MONOTONIC that
+// waits directly on the Mutex's pthread handle (no internal mutex of its
+// own), so waiting code keeps its capability annotations intact.
 //
 // Style note for waiters: prefer an explicit `while (!cond) cv.wait(mu)`
 // loop over the predicate-lambda overloads of the standard library. The
@@ -14,10 +17,12 @@
 // loop needs none.
 #pragma once
 
+#include <pthread.h>
+
+#include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
+#include <ctime>
 
 #include "util/thread_annotations.h"
 
@@ -26,15 +31,17 @@ namespace mocha::util {
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
+  ~Mutex() { pthread_mutex_destroy(&mu_); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void lock() ACQUIRE() { pthread_mutex_lock(&mu_); }
+  void unlock() RELEASE() { pthread_mutex_unlock(&mu_); }
+  bool try_lock() TRY_ACQUIRE(true) { return pthread_mutex_trylock(&mu_) == 0; }
 
  private:
-  std::mutex mu_;
+  friend class CondVar;
+  pthread_mutex_t mu_ = PTHREAD_ADAPTIVE_MUTEX_INITIALIZER_NP;
 };
 
 // RAII scoped lock over util::Mutex (the annotated std::lock_guard).
@@ -52,21 +59,31 @@ class SCOPED_CAPABILITY MutexLock {
 
 // Condition variable that waits on a util::Mutex. All wait methods require
 // the mutex held on entry and hold it again on return (the wait itself
-// releases/reacquires inside the standard library, which the analysis does
-// not look into — the REQUIRES contract is what call sites see and it is
-// accurate at every sequence point they can observe).
+// releases/reacquires inside pthread_cond_*, which the analysis does not
+// look into — the REQUIRES contract is what call sites see and it is
+// accurate at every sequence point they can observe). notify_one() and
+// notify_all() need no lock: a notifier may release the mutex first, so the
+// woken thread does not block on it again at once.
 class CondVar {
  public:
   CondVar() = default;
+  ~CondVar() { pthread_cond_destroy(&cv_); }
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
+  void wait(Mutex& mu) REQUIRES(mu) { pthread_cond_wait(&cv_, &mu.mu_); }
 
   // Waits until notified or `deadline`; returns false on timeout.
   bool wait_until(Mutex& mu, std::chrono::steady_clock::time_point deadline)
       REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
+    // steady_clock is CLOCK_MONOTONIC.
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        deadline.time_since_epoch())
+                        .count();
+    const timespec abs{static_cast<time_t>(ns / 1'000'000'000),
+                       static_cast<long>(ns % 1'000'000'000)};
+    return pthread_cond_clockwait(&cv_, &mu.mu_, CLOCK_MONOTONIC, &abs) !=
+           ETIMEDOUT;
   }
 
   // Waits until notified or `timeout_us` elapses; returns false on timeout.
@@ -75,11 +92,11 @@ class CondVar {
                               std::chrono::microseconds(timeout_us));
   }
 
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
+  void notify_one() { pthread_cond_signal(&cv_); }
+  void notify_all() { pthread_cond_broadcast(&cv_); }
 
  private:
-  std::condition_variable_any cv_;
+  pthread_cond_t cv_ = PTHREAD_COND_INITIALIZER;
 };
 
 }  // namespace mocha::util

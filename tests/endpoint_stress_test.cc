@@ -190,5 +190,59 @@ TEST(EndpointStress, ConcurrentSendSyncAllAcked) {
   EXPECT_EQ(ok.load(), kThreads * kRounds);
 }
 
+// Request/reply rounds from several threads against a handler endpoint,
+// the lock client's pattern: each requester sends and then blocks in
+// recv_for on its own reply port. Receivers are woken after the endpoint's
+// lock is released, so a lost wakeup leaves a reply queued while its
+// requester sleeps: that round waits out its timeout (recv_for then still
+// returns the reply, so the wait is timed, not just its result checked).
+TEST(EndpointStress, RequestReplyRoundsNeverWaitOutTheirTimeout) {
+  constexpr std::uint32_t kRequesters = 4;
+  constexpr std::uint32_t kRounds = 5000;
+  constexpr net::Port kRequestPort = 1;
+  constexpr net::Port kReplyPortBase = 10;
+
+  Endpoint client(/*node=*/1, /*udp_port=*/0);
+  Endpoint server(/*node=*/2, /*udp_port=*/0);
+  client.add_peer(2, "127.0.0.1", server.udp_port());
+  // The server learns the client's address from the request envelopes.
+  server.set_port_handler(kRequestPort, [&server](Endpoint::Message msg) {
+    const auto [requester, round] = parse_payload(msg.payload);
+    server.send(msg.src,
+                static_cast<net::Port>(kReplyPortBase + requester),
+                make_payload(requester, round, 0));
+  });
+
+  std::atomic<std::uint32_t> completed{0};
+  std::atomic<std::uint32_t> timeouts{0};
+  std::atomic<std::uint32_t> mismatches{0};
+  std::vector<std::thread> requesters;
+  for (std::uint32_t r = 0; r < kRequesters; ++r) {
+    requesters.emplace_back([&, r] {
+      const auto reply_port = static_cast<net::Port>(kReplyPortBase + r);
+      const auto timeout = std::chrono::microseconds(scaled_us(2'000'000));
+      for (std::uint32_t i = 0; i < kRounds; ++i) {
+        client.send(2, kRequestPort, make_payload(r, i, 0));
+        const auto start = std::chrono::steady_clock::now();
+        auto reply = client.recv_for(reply_port, timeout.count());
+        if (!reply.has_value() ||
+            std::chrono::steady_clock::now() - start >= timeout) {
+          timeouts.fetch_add(1);
+          return;  // a late reply would pair with the next round
+        }
+        if (parse_payload(reply->payload) != std::pair{r, i}) {
+          mismatches.fetch_add(1);
+        }
+        completed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : requesters) t.join();
+
+  EXPECT_EQ(timeouts.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(completed.load(), kRequesters * kRounds);
+}
+
 }  // namespace
 }  // namespace mocha::live

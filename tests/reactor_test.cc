@@ -5,7 +5,8 @@
 //
 //   - timers fire in deadline order, ties in creation order;
 //   - cancel() prevents firing, also when issued from another callback
-//     (a RELEASE cancelling the lease timer of the same request);
+//     (a RELEASE cancelling the lease timer of the same request), and a
+//     cancelled timer never wakes the loop;
 //   - timers never fire early: past one wheel turn they wait their rounds
 //     out, and one armed mid-tick waits for the tick that covers it;
 //   - post() runs on the loop thread;
@@ -109,6 +110,27 @@ TEST(Reactor, CancelFromAnotherTimersCallback) {
   reactor.call_after(scaled(50'000), [&] { reactor.stop(); });
   reactor.run();
   EXPECT_FALSE(lease_fired);
+}
+
+TEST(Reactor, CancelledTimersDoNotWakeTheLoop) {
+  // The endpoint's transport timer is cancelled and re-armed on most
+  // events, so cancelled entries pile up in the slots ahead of the live
+  // timer. The loop must sleep straight to the live one: one pass, plus one
+  // for slack. Unscaled delays, within one wheel turn: the pass count does
+  // not depend on speed.
+  Reactor reactor;
+  constexpr int kCancelled = 20;
+  for (int i = 1; i <= kCancelled; ++i) {
+    EXPECT_TRUE(reactor.cancel(reactor.call_after(i * 2'000, [] {})));
+  }
+  bool fired = false;
+  reactor.call_after(45'000, [&] {
+    fired = true;
+    reactor.stop();
+  });
+  reactor.run();
+  EXPECT_TRUE(fired);
+  EXPECT_LE(reactor.stats().iterations, 2u);
 }
 
 TEST(Reactor, TimerBeyondOneWheelTurnWaitsItsRoundsOut) {

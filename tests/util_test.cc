@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "util/buffer.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -152,6 +156,125 @@ TEST(SplitMix64, ChanceRespectsProbability) {
     if (rng.chance(0.25)) ++hits;
   }
   EXPECT_NEAR(hits, 2500, 200);
+}
+
+TEST(Mutex, ContendedIncrementsAllLand) {
+  constexpr int kThreads = 8;
+  constexpr int kIncrements = 100'000;
+  Mutex mu;
+  long count = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrements; ++i) {
+        MutexLock lock(mu);
+        ++count;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  MutexLock lock(mu);
+  EXPECT_EQ(count, long{kThreads} * kIncrements);
+}
+
+TEST(Mutex, TryLockFailsWhileHeld) {
+  Mutex mu;
+  MutexLock lock(mu);
+  bool got = false;
+  std::thread other([&] {
+    if (mu.try_lock()) {
+      got = true;
+      mu.unlock();
+    }
+  });
+  other.join();
+  EXPECT_FALSE(got);
+}
+
+TEST(CondVar, WaitUntilReturnsFalseOnTimeout) {
+  Mutex mu;
+  CondVar cv;
+  MutexLock lock(mu);
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::milliseconds(20);
+  bool notified = true;
+  // A spurious wakeup returns true before the deadline; wait it out.
+  while (notified && std::chrono::steady_clock::now() < deadline) {
+    notified = cv.wait_until(mu, deadline);
+  }
+  EXPECT_FALSE(notified);
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);  // never early
+  EXPECT_FALSE(cv.wait_for_us(mu, 1'000));
+}
+
+TEST(CondVar, WaitUntilReturnsTrueWhenNotified) {
+  Mutex mu;
+  CondVar cv;
+  bool ready = false;
+  bool waiting = false;
+  bool notified = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::thread waiter([&] {
+    MutexLock lock(mu);
+    waiting = true;
+    while (!ready) notified = cv.wait_until(mu, deadline);
+  });
+  while (true) {
+    {
+      MutexLock lock(mu);
+      if (waiting) break;
+    }
+    std::this_thread::yield();
+  }
+  {
+    MutexLock lock(mu);
+    ready = true;
+  }
+  cv.notify_one();  // after the unlock, as the endpoint notifies
+  waiter.join();
+  EXPECT_TRUE(notified);
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
+}
+
+TEST(CondVar, NotifyAllWakesEveryWaiter) {
+  constexpr int kWaiters = 4;
+  Mutex mu;
+  CondVar cv;
+  bool go = false;
+  int waiting = 0;
+  int timed_out = 0;
+  // notify_one would leave all but one waiter to sleep out the deadline.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < kWaiters; ++t) {
+    waiters.emplace_back([&] {
+      MutexLock lock(mu);
+      ++waiting;
+      while (!go) {
+        if (!cv.wait_until(mu, deadline)) {
+          ++timed_out;
+          break;
+        }
+      }
+    });
+  }
+  while (true) {
+    {
+      MutexLock lock(mu);
+      if (waiting == kWaiters) break;  // each is inside wait_until
+    }
+    std::this_thread::yield();
+  }
+  {
+    MutexLock lock(mu);
+    go = true;
+  }
+  cv.notify_all();
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(timed_out, 0);
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
 }
 
 }  // namespace
